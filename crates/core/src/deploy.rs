@@ -530,6 +530,10 @@ impl DeployedModel {
     /// cosines (per-query *and* per-class norms applied), whose row
     /// maximum is the anomaly score.
     ///
+    /// A row with a non-finite feature scores NaN, as it does on the f32
+    /// path: quantization would otherwise turn its poisoned projections
+    /// into ordinary codes and report a plausible cosine.
+    ///
     /// # Errors
     ///
     /// See [`DeployedModel::anomaly_scores`].
@@ -538,7 +542,17 @@ impl DeployedModel {
             return Ok(Vec::new());
         }
         let scores = self.quantized_cosines(queries)?;
-        Ok(scores.iter_rows().map(max_score).collect())
+        Ok(scores
+            .iter_rows()
+            .zip(queries.iter_rows())
+            .map(|(row, query)| {
+                if query.iter().all(|x| x.is_finite()) {
+                    max_score(row)
+                } else {
+                    f32::NAN
+                }
+            })
+            .collect())
     }
 
     /// Calibrates the one-class anomaly threshold from labelled

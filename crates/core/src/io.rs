@@ -243,8 +243,15 @@ fn serialize_legacy(model: &DeployedModel) -> Result<Vec<u8>, PersistError> {
             } else {
                 writer.write_all(&[VERSION_TASKED, ENCODER_KIND_DENSE])?;
             }
-            write_dims(&mut writer, encoder.bases().rows())?;
-            write_f32_slice(&mut writer, encoder.bases().as_slice())?;
+            // The bases are resident as a packed panel; stream them back
+            // out row by row, which is the format's row-major order.
+            let bases = encoder.packed_bases();
+            write_dims(&mut writer, bases.inner())?;
+            for k in 0..bases.inner() {
+                for segment in bases.row_segments(k) {
+                    write_f32_slice(&mut writer, segment)?;
+                }
+            }
             write_f32_slice(&mut writer, encoder.phases())?;
         }
         AnyRbfEncoder::Structured(encoder) => {
@@ -694,6 +701,78 @@ mod tests {
         );
         model.fit(&data.train, None).unwrap();
         (DeployedModel::freeze(&model, BitWidth::B4).unwrap(), data)
+    }
+
+    /// A deployment assembled without a fit (so no GEMM rounding enters
+    /// it): seeded bases or FHT signs, a few regenerated dims (the dense
+    /// columns or the structured overlay), arithmetic means and class
+    /// rows.  Every byte comes from the seeded generator and exact
+    /// arithmetic.
+    fn fixed_parts_deployed(kind: disthd_hd::encoder::EncoderBackend) -> DeployedModel {
+        use disthd_hd::encoder::RegenerativeEncoder;
+        use disthd_linalg::{RngSeed, SeededRng};
+        let (n, dim, classes) = (9, 40, 3);
+        let mut encoder = AnyRbfEncoder::new(kind, n, dim, RngSeed(5));
+        encoder.regenerate(&[3, 17, 39, 17, 400], &mut SeededRng::new(RngSeed(6)));
+        let means = (0..dim).map(|d| (d % 7) as f32 * 0.125 - 0.375).collect();
+        let rows = Matrix::from_fn(classes, dim, |r, c| ((r * 5 + c * 3) % 11) as f32 - 5.0);
+        DeployedModel::from_parts(
+            encoder,
+            EncodingCenter::from_means(means),
+            QuantizedMatrix::quantize(&rows, BitWidth::B4),
+        )
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        fnv1a_update(FNV_OFFSET, bytes)
+    }
+
+    #[test]
+    fn saved_blobs_match_their_golden_hashes() {
+        // Pins the exact bytes the writer emits for both encoder kinds, so
+        // a change to how the encoders hold their parts in memory cannot
+        // move a byte on disk.
+        use disthd_hd::encoder::EncoderBackend;
+        for (kind, golden) in [
+            (EncoderBackend::Dense, 0xc61e_0f78_f1c9_81ea),
+            (EncoderBackend::Structured, 0x23a2_8c7f_6396_6159),
+        ] {
+            let model = fixed_parts_deployed(kind);
+            let mut buffer = Vec::new();
+            save_deployed(&model, &mut buffer).unwrap();
+            assert_eq!(fnv1a(&buffer), golden, "{kind:?}: {:#018x}", fnv1a(&buffer));
+            let restored = load_deployed(buffer.as_slice()).unwrap();
+            let mut again = Vec::new();
+            save_deployed(&restored, &mut again).unwrap();
+            assert_eq!(again, buffer, "{kind:?}: load + save is not the identity");
+        }
+    }
+
+    #[test]
+    fn round_trip_restores_the_resident_panels_bit_for_bit() {
+        use disthd_hd::encoder::EncoderBackend;
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Each encoder's resident panel, unpacked, next to the matrix it
+        // must hold: the dense bases, or the transposed overlay rows.
+        let panels = |model: &DeployedModel| match model.encoder_parts() {
+            AnyRbfEncoder::Dense(e) => (e.packed_bases().unpack(), e.bases().clone()),
+            AnyRbfEncoder::Structured(e) => {
+                (e.overlay_panel().unpack(), e.overlay_rows().transpose())
+            }
+        };
+        for kind in [EncoderBackend::Dense, EncoderBackend::Structured] {
+            let original = fixed_parts_deployed(kind);
+            let mut buffer = Vec::new();
+            save_deployed(&original, &mut buffer).unwrap();
+            let restored = load_deployed(buffer.as_slice()).unwrap();
+            let (panel, expected) = panels(&restored);
+            assert_eq!(bits(&panel), bits(&expected), "{kind:?}: restored panel");
+            assert_eq!(
+                bits(&panel),
+                bits(&panels(&original).0),
+                "{kind:?}: vs saved"
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@ use crate::quantize::{BitWidth, QuantizedMatrix};
 use disthd_linalg::{
     half_angle_row, sin_det, Gaussian, Matrix, PackedRhs, RngSeed, SeededRng, ShapeError, Uniform,
 };
+use std::sync::OnceLock;
 
 /// The paper's RBF-inspired nonlinear encoder (§III-C).
 ///
@@ -16,6 +17,11 @@ use disthd_linalg::{
 /// which approximates an RBF kernel feature map (Rahimi & Recht \[21\]) and
 /// captures non-linear feature interactions.  Batch encoding is a single
 /// matrix product followed by the element-wise trigonometric map.
+///
+/// The base matrix lives only in the GEMM's tile-major panel layout
+/// ([`PackedRhs`]): every encode multiplies against that resident panel,
+/// and regeneration writes its fresh draws straight into it, so no call
+/// pays for a relayout.
 ///
 /// This encoder is *regenerative*: [`RegenerativeEncoder::regenerate`]
 /// replaces `B_i` and `c_i` for selected dimensions — the mechanism DistHD
@@ -38,9 +44,14 @@ use disthd_linalg::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct RbfEncoder {
-    /// `n x D` base matrix: column `i` is `B_i`, so a feature batch encodes
-    /// as `batch · bases` in one GEMM.
-    bases: Matrix,
+    /// `n x D` base matrix, resident in packed panel order: column `i` is
+    /// `B_i`, so a feature batch encodes as `batch · bases` in one GEMM.
+    /// This is the only full copy the encoder keeps.
+    bases: PackedRhs,
+    /// Row-major copy of `bases` for [`RbfEncoder::bases`] callers, built
+    /// on first request and dropped by regeneration.  No encode, fit or
+    /// persistence path requests it.
+    bases_view: OnceLock<Matrix>,
     /// Per-dimension phases `c_i`.
     phases: Vec<f32>,
     /// Precomputed `sin(c_i)` per dimension: the nonlinearity is evaluated
@@ -93,11 +104,14 @@ impl RbfEncoder {
         let base_std = bandwidth / (input_dim.max(1) as f32).sqrt();
         let mut rng = SeededRng::derive_stream(seed, 0xE7C0);
         let gaussian = Gaussian::new(0.0, base_std);
-        let bases = Matrix::from_fn(input_dim, output_dim, |_, _| gaussian.sample(&mut rng));
+        let bases = PackedRhs::pack(&Matrix::from_fn(input_dim, output_dim, |_, _| {
+            gaussian.sample(&mut rng)
+        }));
         let phases = Uniform::phase().sample_vec(&mut rng, output_dim);
         let phase_sins = phases.iter().map(|&c| sin_det(c)).collect();
         Self {
             bases,
+            bases_view: OnceLock::new(),
             phases,
             phase_sins,
             base_std,
@@ -126,8 +140,19 @@ impl RbfEncoder {
         }
     }
 
-    /// Borrows the base matrix (`n x D`, column `i` = `B_i`).
+    /// The base matrix (`n x D`, column `i` = `B_i`) in row-major order.
+    ///
+    /// The encoder holds its bases only as a packed panel
+    /// ([`RbfEncoder::packed_bases`]), so the first call after
+    /// construction or regeneration unpacks a row-major copy and keeps it
+    /// until the next [`RegenerativeEncoder::regenerate`].  That copy is
+    /// as large as the panel: inspection only, never a hot path.
     pub fn bases(&self) -> &Matrix {
+        self.bases_view.get_or_init(|| self.bases.unpack())
+    }
+
+    /// The resident base panel every encode multiplies against.
+    pub fn packed_bases(&self) -> &PackedRhs {
         &self.bases
     }
 
@@ -166,9 +191,10 @@ impl RbfEncoder {
                 (batch.rows(), self.output_dim),
             ));
         }
-        // Gather each regenerated base column once (the base matrix is
-        // column-strided), then stream all samples against the contiguous
-        // copy — the inner dot product auto-vectorizes.
+        // Gather each regenerated base column once (the panel strides a
+        // column by one 16-float group per `k`), then stream all samples
+        // against the contiguous copy — the inner dot product
+        // auto-vectorizes.
         let mut column = vec![0.0f32; self.input_dim];
         for &d in dims {
             if d >= self.output_dim {
@@ -203,7 +229,7 @@ impl RbfEncoder {
     ///
     /// Returns [`ShapeError`] if `batch.cols() != input_dim()`.
     pub fn encode_batch_reference(&self, batch: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut projected = batch.matmul_reference(&self.bases)?;
+        let mut projected = batch.matmul_reference(&self.bases.unpack())?;
         for r in 0..projected.rows() {
             self.apply_nonlinearity(projected.row_mut(r));
         }
@@ -233,7 +259,8 @@ impl RbfEncoder {
         let output_dim = bases.cols();
         let phase_sins = phases.iter().map(|&c| sin_det(c)).collect();
         Ok(Self {
-            bases,
+            bases: PackedRhs::pack(&bases),
+            bases_view: OnceLock::new(),
             phases,
             phase_sins,
             base_std,
@@ -248,8 +275,8 @@ impl RbfEncoder {
     /// row straight into packed words — no full-precision output matrix is
     /// ever materialized.
     ///
-    /// The projection runs through [`Matrix::matmul_rows_into`] against a
-    /// once-packed right-hand side (bit-identical to the
+    /// The projection runs through [`Matrix::matmul_rows_into`] against the
+    /// resident base panel (bit-identical to the
     /// [`Encoder::encode_batch`] GEMM for any row partition) and the
     /// epilogue through [`disthd_linalg::half_angle_row`] (bit-identical to
     /// the scalar half-angle map), so the result equals quantizing the
@@ -282,7 +309,6 @@ impl RbfEncoder {
                 ));
             }
         }
-        let packed = PackedRhs::pack(&self.bases);
         let cols = self.output_dim;
         Ok(QuantizedMatrix::from_row_producer(
             batch.rows(),
@@ -290,8 +316,8 @@ impl RbfEncoder {
             width,
             |first_row, values| {
                 batch
-                    .matmul_rows_into(&packed, first_row, values)
-                    .expect("shapes validated before packing");
+                    .matmul_rows_into(&self.bases, first_row, values)
+                    .expect("batch width validated above");
                 for row in values.chunks_exact_mut(cols) {
                     // Unit scale is an exact no-op on the projections.
                     half_angle_row(row, 1.0, &self.phases, &self.phase_sins);
@@ -323,13 +349,19 @@ impl Encoder for RbfEncoder {
                 (self.input_dim, self.output_dim),
             ));
         }
-        // projections[i] = B_i · F  — one pass over the base matrix rows.
+        // projections[i] = B_i · F  — one pass over the base matrix rows,
+        // each row visited as its panel-tile segments.
         let mut projections = vec![0.0f32; self.output_dim];
         for (k, &f) in features.iter().enumerate() {
             if f == 0.0 {
                 continue;
             }
-            disthd_linalg::axpy(f, self.bases.row(k), &mut projections);
+            let mut col = 0;
+            for segment in self.bases.row_segments(k) {
+                let end = col + segment.len();
+                disthd_linalg::axpy(f, segment, &mut projections[col..end]);
+                col = end;
+            }
         }
         self.apply_nonlinearity(&mut projections);
         Ok(projections)
@@ -342,7 +374,7 @@ impl Encoder for RbfEncoder {
         // being re-streamed for a separate nonlinearity pass.
         let phases = &self.phases;
         let phase_sins = &self.phase_sins;
-        batch.matmul_map(&self.bases, |dim, p| {
+        batch.matmul_prepacked_map(&self.bases, |dim, p| {
             Self::nonlinearity(p, phases[dim], phase_sins[dim])
         })
     }
@@ -350,14 +382,16 @@ impl Encoder for RbfEncoder {
 
 impl RegenerativeEncoder for RbfEncoder {
     fn regenerate(&mut self, dims: &[usize], rng: &mut SeededRng) {
+        self.bases_view.take();
         let gaussian = Gaussian::new(0.0, self.base_std);
         let phase = Uniform::phase();
         for &d in dims {
             if d >= self.output_dim {
                 continue;
             }
-            for k in 0..self.input_dim {
-                self.bases.set(k, d, gaussian.sample(rng));
+            // Ascending `k`, the draw order of the row-major layout.
+            for slot in self.bases.column_slots(d) {
+                *slot = gaussian.sample(rng);
             }
             self.phases[d] = phase.sample(rng);
             self.phase_sins[d] = sin_det(self.phases[d]);
@@ -529,6 +563,108 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Bitwise equality of two matrices (`==` would equate `0.0` and
+    /// `-0.0`).
+    fn assert_same_bits(a: &Matrix, b: &Matrix, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}");
+        }
+    }
+
+    /// The resident panel holds exactly `expected`, and the row-major
+    /// view repacks to the same panel.
+    fn assert_panel_holds(enc: &RbfEncoder, expected: &Matrix, what: &str) {
+        assert_same_bits(&enc.packed_bases().unpack(), expected, what);
+        assert_same_bits(enc.bases(), expected, what);
+        assert_same_bits(
+            &PackedRhs::pack(enc.bases()).unpack(),
+            &enc.packed_bases().unpack(),
+            what,
+        );
+    }
+
+    /// The row-major base matrix drawn the way the encoder has always
+    /// drawn it: row by row from the construction stream.
+    fn reference_bases(input_dim: usize, output_dim: usize, seed: RngSeed) -> Matrix {
+        let base_std = DEFAULT_BANDWIDTH / (input_dim as f32).sqrt();
+        let mut rng = SeededRng::derive_stream(seed, 0xE7C0);
+        let gaussian = Gaussian::new(0.0, base_std);
+        Matrix::from_fn(input_dim, output_dim, |_, _| gaussian.sample(&mut rng))
+    }
+
+    #[test]
+    fn resident_panel_tracks_every_way_an_encoder_is_built() {
+        // 37 columns: two full 16-wide tiles plus a padded one.
+        let (n, d) = (5, 37);
+        let mut expected = reference_bases(n, d, RngSeed(3));
+        let mut enc = RbfEncoder::new(n, d, RngSeed(3));
+        assert_panel_holds(&enc, &expected, "new");
+
+        // Regeneration draws each column in ascending `k`, then its
+        // phase; out-of-range dims draw nothing, repeated dims redraw.
+        let dims = [36usize, 0, 99, 17, 36];
+        let mut rng = SeededRng::new(RngSeed(8));
+        let mut replay = rng.clone();
+        let gaussian = Gaussian::new(0.0, enc.base_std());
+        for &dim in dims.iter().filter(|&&dim| dim < d) {
+            for k in 0..n {
+                expected.set(k, dim, gaussian.sample(&mut replay));
+            }
+            Uniform::phase().sample(&mut replay);
+        }
+        let stale = enc.bases().clone();
+        enc.regenerate(&dims, &mut rng);
+        assert_eq!(rng.next_u64(), replay.next_u64(), "RNG consumption");
+        assert_ne!(enc.bases(), &stale, "regeneration must drop the old view");
+        assert_panel_holds(&enc, &expected, "regenerate");
+
+        assert_panel_holds(&enc.clone(), &expected, "clone");
+        let rebuilt =
+            RbfEncoder::from_parts(expected.clone(), enc.phases().to_vec(), enc.base_std())
+                .unwrap();
+        assert_panel_holds(&rebuilt, &expected, "from_parts");
+    }
+
+    #[test]
+    fn encode_batch_equals_the_unpacked_product_at_any_thread_count() {
+        // 80 rows x 8 features x 1030 dims is past the GEMM's parallel
+        // threshold, so the pool really splits the rows.
+        let enc = RbfEncoder::new(8, 1030, RngSeed(12));
+        let batch = Matrix::from_fn(80, 8, |r, c| ((r * 8 + c) as f32 * 0.31).cos());
+        let phases = enc.phases();
+        let phase_sins: Vec<f32> = phases.iter().map(|&c| sin_det(c)).collect();
+        let expected = disthd_linalg::parallel::with_thread_count(1, || {
+            batch
+                .matmul_map(enc.bases(), |dim, p| {
+                    RbfEncoder::nonlinearity(p, phases[dim], phase_sins[dim])
+                })
+                .unwrap()
+        });
+        for threads in [1usize, 2, 8] {
+            let got = disthd_linalg::parallel::with_thread_count(threads, || {
+                enc.encode_batch(&batch).unwrap()
+            });
+            assert_same_bits(&got, &expected, &format!("{threads} threads"));
+        }
+    }
+
+    #[test]
+    fn single_encode_keeps_the_row_major_axpy_arithmetic() {
+        let enc = RbfEncoder::new(6, 53, RngSeed(4));
+        let features = [0.25, 0.0, -0.75, 1.5, 0.125, -2.0];
+        let mut expected = vec![0.0f32; 53];
+        for (k, &f) in features.iter().enumerate() {
+            if f != 0.0 {
+                disthd_linalg::axpy(f, enc.bases().row(k), &mut expected);
+            }
+        }
+        enc.apply_nonlinearity(&mut expected);
+        let got = enc.encode(&features).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&expected));
     }
 
     #[test]

@@ -126,8 +126,10 @@ struct BlockSpec {
 /// overlay: it gets a fresh private Gaussian base vector (exactly a dense
 /// [`super::RbfEncoder`] column), stored as one row of a patch matrix.
 /// Encoding computes the structured pass for the live dimensions and then
-/// fills the overlaid columns via the existing 4×16 GEMM
-/// ([`Matrix::matmul_map`]).  `fit` / `partial_fit` / regeneration semantics
+/// fills the overlaid columns via the existing 4×16 GEMM against a
+/// resident packed panel of the overlay rows
+/// ([`Matrix::matmul_prepacked_map`]), repacked only when regeneration
+/// changes the overlay.  `fit` / `partial_fit` / regeneration semantics
 /// are therefore identical to the dense encoder's, and the overlay GEMM
 /// costs `O(F·m)` per sample for `m` evicted dimensions — tiny relative to
 /// the FHT pass while regeneration touches a minority of dimensions.
@@ -176,10 +178,10 @@ pub struct StructuredRbfEncoder {
     overlay_dims: Vec<usize>,
     /// `m × n` overlay base vectors, one row per evicted dim.
     overlay_rows: Matrix,
-    /// Cached `n × m` transpose of `overlay_rows` — the right-hand side of
-    /// the overlay GEMM, rebuilt once per [`RegenerativeEncoder::regenerate`]
-    /// call so the encode hot path never re-transposes.
-    overlay_cols: Matrix,
+    /// `overlay_rows` as the overlay GEMM's resident `n × m` right-hand
+    /// panel (column `j` = overlay row `j`), rebuilt once per
+    /// [`RegenerativeEncoder::regenerate`] call so no encode re-packs it.
+    overlay_panel: PackedRhs,
     /// Butterfly pass order for every block transform (never persisted).
     schedule: FhtSchedule,
     /// Whether the final-stage prune plans are applied (ascending schedule
@@ -193,6 +195,18 @@ pub struct StructuredRbfEncoder {
     /// regeneration.
     live_runs: Vec<Vec<(u32, u32)>>,
     regenerated: u64,
+}
+
+/// Packs the `m × n` overlay rows as the overlay GEMM's `n × m` right-hand
+/// panel: panel column `j` is overlay row `j`.
+fn pack_overlay(rows: &Matrix) -> PackedRhs {
+    let mut panel = PackedRhs::new(rows.cols(), rows.rows());
+    for j in 0..rows.rows() {
+        for (slot, &value) in panel.column_slots(j).zip(rows.row(j)) {
+            *slot = value;
+        }
+    }
+    panel
 }
 
 /// Builds the per-block shapes for `(input_dim, output_dim, block_dim)`,
@@ -319,7 +333,7 @@ impl StructuredRbfEncoder {
             overlay_index: vec![NOT_OVERLAID; output_dim],
             overlay_dims: Vec::new(),
             overlay_rows: Matrix::zeros(0, input_dim),
-            overlay_cols: Matrix::zeros(input_dim, 0),
+            overlay_panel: PackedRhs::new(input_dim, 0),
             schedule: FhtSchedule::from_env(),
             prune_enabled: true,
             prune_plans: Vec::new(),
@@ -374,6 +388,12 @@ impl StructuredRbfEncoder {
     /// Borrows the `m × n` overlay base-vector rows (persistence).
     pub fn overlay_rows(&self) -> &Matrix {
         &self.overlay_rows
+    }
+
+    /// The resident `n × m` overlay panel the overlay GEMM multiplies
+    /// against: column `j` is overlay row `j`.
+    pub fn overlay_panel(&self) -> &PackedRhs {
+        &self.overlay_panel
     }
 
     /// Total sign entries (`3 · transform_dim` summed over blocks),
@@ -498,7 +518,7 @@ impl StructuredRbfEncoder {
             overlay_index[d] = j as u32;
         }
         let phase_sins = phases.iter().map(|&c| sin_det(c)).collect();
-        let overlay_cols = overlay_rows.transpose();
+        let overlay_panel = pack_overlay(&overlay_rows);
         let mut encoder = Self {
             input_dim,
             output_dim,
@@ -511,7 +531,7 @@ impl StructuredRbfEncoder {
             overlay_index,
             overlay_dims,
             overlay_rows,
-            overlay_cols,
+            overlay_panel,
             schedule: FhtSchedule::from_env(),
             prune_enabled: true,
             prune_plans: Vec::new(),
@@ -756,11 +776,6 @@ impl StructuredRbfEncoder {
                 ));
             }
         }
-        let overlay_packed = if self.overlay_dims.is_empty() {
-            None
-        } else {
-            Some(PackedRhs::pack(&self.overlay_cols))
-        };
         let cols = self.output_dim;
         let m = self.overlay_dims.len();
         Ok(QuantizedMatrix::from_row_producer(
@@ -773,11 +788,11 @@ impl StructuredRbfEncoder {
                 for (i, row) in values.chunks_exact_mut(cols).enumerate() {
                     self.encode_structured_row(batch.row(first_row + i), row, &mut scratch);
                 }
-                if let Some(packed) = &overlay_packed {
+                if m > 0 {
                     let mut patch = vec![0.0f32; n * m];
                     batch
-                        .matmul_rows_into(packed, first_row, &mut patch)
-                        .expect("shapes validated before packing");
+                        .matmul_rows_into(&self.overlay_panel, first_row, &mut patch)
+                        .expect("batch width validated above");
                     for (row, patch_row) in values.chunks_exact_mut(cols).zip(patch.chunks_exact(m))
                     {
                         for (j, &dim) in self.overlay_dims.iter().enumerate() {
@@ -868,7 +883,7 @@ impl Encoder for StructuredRbfEncoder {
         // private base vectors, fused with the same epilogue, scattered
         // into the overlaid columns.
         if !self.overlay_dims.is_empty() {
-            let patch = batch.matmul_map(&self.overlay_cols, |j, p| {
+            let patch = batch.matmul_prepacked_map(&self.overlay_panel, |j, p| {
                 let dim = self.overlay_dims[j];
                 half_angle_cosine(p, self.phases[dim], self.phase_sins[dim])
             })?;
@@ -915,10 +930,10 @@ impl RegenerativeEncoder for StructuredRbfEncoder {
             self.phase_sins[dim] = sin_det(new_phase);
             self.regenerated += 1;
         }
-        if evicted_any || !dims.is_empty() {
-            // The GEMM-side transpose is rebuilt once per regeneration
-            // call, never on the encode hot path.
-            self.overlay_cols = self.overlay_rows.transpose();
+        if !dims.is_empty() {
+            // The GEMM-side panel is rebuilt once per regeneration call,
+            // never on the encode hot path.
+            self.overlay_panel = pack_overlay(&self.overlay_rows);
         }
         if evicted_any {
             // Freshly evicted dims drop out of the butterfly final stage
@@ -993,6 +1008,79 @@ mod tests {
             let single = enc.encode(row).unwrap();
             for (c, (&a, &b)) in encoded.row(r).iter().zip(single.iter()).enumerate() {
                 assert!((a - b).abs() < 1e-5, "({r},{c}): batch {a} vs single {b}");
+            }
+        }
+    }
+
+    /// The resident overlay panel holds exactly the transposed overlay
+    /// rows, bit for bit.
+    fn assert_overlay_panel_current(enc: &StructuredRbfEncoder, what: &str) {
+        let expected = enc.overlay_rows().transpose();
+        let panel = enc.overlay_panel().unpack();
+        assert_eq!(panel.shape(), expected.shape(), "{what}: shape");
+        for (i, (a, b)) in panel.as_slice().iter().zip(expected.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}");
+        }
+    }
+
+    #[test]
+    fn resident_overlay_panel_tracks_every_way_an_encoder_is_built() {
+        let mut enc = encoder();
+        assert_overlay_panel_current(&enc, "new");
+        assert_eq!(enc.overlay_panel().cols(), 0);
+        let mut rng = SeededRng::new(RngSeed(31));
+        // Out-of-range and repeated dims, then a second call that only
+        // redraws an already-evicted dim (17 columns: a padded tile).
+        let first: Vec<usize> = (0..16).map(|i| i * 11).chain([500, 11, 199]).collect();
+        enc.regenerate(&first, &mut rng);
+        assert_eq!(enc.overlay_len(), 17);
+        assert_overlay_panel_current(&enc, "regenerate");
+        enc.regenerate(&[22, 9999], &mut rng);
+        assert_eq!(enc.overlay_len(), 17);
+        assert_overlay_panel_current(&enc, "redraw");
+        assert_overlay_panel_current(&enc.clone(), "clone");
+        let rebuilt = StructuredRbfEncoder::from_parts(
+            enc.input_dim(),
+            enc.output_dim(),
+            enc.base_std(),
+            enc.block_dim(),
+            &enc.packed_signs(),
+            enc.phases().to_vec(),
+            enc.overlay_dims().to_vec(),
+            enc.overlay_rows().clone(),
+        )
+        .unwrap();
+        assert_overlay_panel_current(&rebuilt, "from_parts");
+    }
+
+    #[test]
+    fn overlay_columns_equal_the_unpacked_product_at_any_thread_count() {
+        // 200 rows x 64 features x 48 overlay dims is past the GEMM's
+        // parallel threshold, so the pool really splits the rows.
+        let mut enc = StructuredRbfEncoder::new(64, 1030, RngSeed(17));
+        let dims: Vec<usize> = (0..48).map(|i| i * 21 + 3).collect();
+        enc.regenerate(&dims, &mut SeededRng::new(RngSeed(18)));
+        let batch = Matrix::from_fn(200, 64, |r, c| ((r * 64 + c) as f32 * 0.37).sin());
+        let patch = disthd_linalg::parallel::with_thread_count(1, || {
+            batch
+                .matmul_map(&enc.overlay_rows().transpose(), |j, p| {
+                    let dim = enc.overlay_dims()[j];
+                    half_angle_cosine(p, enc.phases[dim], enc.phase_sins[dim])
+                })
+                .unwrap()
+        });
+        for threads in [1usize, 2, 8] {
+            let got = disthd_linalg::parallel::with_thread_count(threads, || {
+                enc.encode_batch(&batch).unwrap()
+            });
+            for r in 0..batch.rows() {
+                for (j, &dim) in enc.overlay_dims().iter().enumerate() {
+                    assert_eq!(
+                        got.get(r, dim).to_bits(),
+                        patch.get(r, j).to_bits(),
+                        "{threads} threads, row {r}, dim {dim}"
+                    );
+                }
             }
         }
     }

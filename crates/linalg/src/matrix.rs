@@ -298,7 +298,9 @@ impl Matrix {
     /// map only needs the *column* index, which selects the per-dimension
     /// phase).
     ///
-    /// The kernel packs `rhs` into 16-column tile-major panels, then
+    /// The kernel packs `rhs` into 16-column tile-major panels (see
+    /// [`PackedRhs`]; a caller whose `rhs` outlives the call should hold
+    /// the panel itself and use [`Matrix::matmul_prepacked_map`]), then
     /// processes the output in fixed 8-row chunks (fanned out over the
     /// [`crate::parallel`] worker pool) with a 4×16 register-tiled inner
     /// loop whose arithmetic tier is resolved once per process (portable
@@ -349,50 +351,15 @@ impl Matrix {
         if self.cols != rhs.rows {
             return Err(ShapeError::new("matmul", self.shape(), rhs.shape()));
         }
-        let inner = self.cols;
-        let b_cols = rhs.cols;
-        if self.rows * b_cols == 0 {
-            return Ok(Matrix::zeros(self.rows, b_cols));
+        if self.rows == 0 {
+            return Ok(Matrix::zeros(0, rhs.cols));
         }
-        if inner == 0 {
-            // Degenerate product: every element is an empty sum, but the
-            // epilogue must still see it.
-            let mut out = Matrix::zeros(self.rows, b_cols);
-            for (i, slot) in out.data.iter_mut().enumerate() {
-                *slot = epilogue(i % b_cols, 0.0);
-            }
-            return Ok(out);
-        }
-
-        // Pack `rhs` into tile-major panels: tile `t` holds columns
-        // `[16t, 16t+16)` as `inner` consecutive 16-float groups, so the
-        // micro-kernel streams one contiguous 64-byte line per `k` step
-        // instead of striding `b_cols` floats (which defeats the prefetcher
-        // and thrashes the TLB for wide outputs).  The final tile is
-        // zero-padded to full width — padded lanes accumulate exact zeros
-        // and are simply not stored.  Packing is a pure relayout, so it
-        // cannot perturb results; its cost is amortized over every row
-        // block that reuses the panel.
-        let mut packed = PackedRhs::new(inner, b_cols);
-        let pack = |tile: usize, panel: &mut [f32]| {
-            let col0 = tile * GEMM_NW;
-            let width = (b_cols - col0).min(GEMM_NW);
-            for k in 0..inner {
-                panel[k * GEMM_NW..k * GEMM_NW + width]
-                    .copy_from_slice(&rhs.data[k * b_cols + col0..k * b_cols + col0 + width]);
-            }
-        };
-        // A small product packs on the calling thread (same partitions as
-        // the parallel path, so still bit-identical) to skip the fork/join
-        // cost; the kernel below makes the same call.
-        if gemm_runs_serial(self.rows, inner, b_cols) {
-            for (tile, panel) in packed.data.chunks_mut(inner * GEMM_NW).enumerate() {
-                pack(tile, panel);
-            }
-        } else {
-            parallel::par_chunks_mut(&mut packed.data, inner * GEMM_NW, pack);
-        }
-        self.gemm_prepacked(&packed, epilogue, tier)
+        // A product small enough to run on the calling thread packs there
+        // too; a larger one fans the tiles out over the pool.  Either way
+        // the panel is the same, so the product is too.
+        let parallel = !gemm_runs_serial(self.rows, rhs.rows, rhs.cols);
+        let packed = PackedRhs::pack_with(rhs, parallel);
+        self.prepacked_map_tier(&packed, epilogue, tier)
     }
 
     /// Matrix product against an externally packed right-hand side, with a
@@ -401,8 +368,9 @@ impl Matrix {
     ///
     /// This is [`Matrix::matmul_map`] minus the per-call packing step: the
     /// caller owns the [`PackedRhs`] and may reuse it across any number of
-    /// products (the zero-dequantize serving path keeps its class codes
-    /// permanently packed this way).  Numerics are identical to
+    /// products (the dense encoder's bases, the structured encoder's
+    /// overlay and the zero-dequantize serving path's class codes all stay
+    /// resident this way).  Numerics are identical to
     /// [`Matrix::matmul_map`] against the equivalent dense `rhs` — same
     /// micro-kernel, same ascending-`k` per-element accumulation chain (see
     /// [`dot_gemm_order`]), same bit-identity at any thread count.
@@ -425,17 +393,33 @@ impl Matrix {
                 (packed.inner, packed.cols),
             ));
         }
+        self.prepacked_map_tier(packed, epilogue, kernel_tier())
+    }
+
+    /// The shared product behind [`Matrix::matmul_map`] and
+    /// [`Matrix::matmul_prepacked_map`] (shapes already checked).
+    fn prepacked_map_tier<F>(
+        &self,
+        packed: &PackedRhs,
+        epilogue: F,
+        tier: KernelTier,
+    ) -> Result<Matrix, ShapeError>
+    where
+        F: Fn(usize, f32) -> f32 + Sync,
+    {
         if self.rows * packed.cols == 0 {
             return Ok(Matrix::zeros(self.rows, packed.cols));
         }
         if packed.inner == 0 {
+            // Degenerate product: every element is an empty sum, but the
+            // epilogue must still see it.
             let mut out = Matrix::zeros(self.rows, packed.cols);
             for (i, slot) in out.data.iter_mut().enumerate() {
                 *slot = epilogue(i % packed.cols, 0.0);
             }
             return Ok(out);
         }
-        self.gemm_prepacked(packed, epilogue, kernel_tier())
+        self.gemm_prepacked(packed, epilogue, tier)
     }
 
     /// Computes a row range of `self · B` **serially** into a caller
@@ -654,10 +638,9 @@ impl Matrix {
 /// Owning a `PackedRhs` decouples *filling* the panel from *multiplying*
 /// through it ([`Matrix::matmul_prepacked_map`]): the quantized serving
 /// kernel decodes packed integer codes straight into panel slots (no
-/// dense `rhs` matrix ever exists), and a caller whose right-hand side
-/// survives across many products can fill once and multiply repeatedly —
-/// with the caveat that a panel is only faster than re-packing while it
-/// stays cache-resident between uses.
+/// dense `rhs` matrix ever exists), and the RBF encoders keep their
+/// projection operands resident as panels between regenerations, so no
+/// encode pays for a relayout.
 ///
 /// Layout: tile `t` holds columns `[16t, 16t+16)` as `inner` consecutive
 /// 16-float groups (`panel[k·16 + lane] = B[k][16t + lane]`); the final
@@ -711,13 +694,13 @@ impl PackedRhs {
         self.cols
     }
 
-    /// Packs a dense right-hand matrix into panel order — the exact
-    /// relayout [`Matrix::matmul_map`] performs internally, exposed so a
-    /// caller can pack once and reuse the panel across
+    /// Packs a dense right-hand matrix into panel order — the relayout
+    /// [`Matrix::matmul_map`] performs on every call, exposed so a caller
+    /// can pack once and reuse the panel across
     /// [`Matrix::matmul_prepacked_map`] / [`Matrix::matmul_rows_into`]
-    /// calls (the fused encoders keep their base matrices permanently
-    /// packed this way).  Packing is a pure relayout: products against
-    /// the panel are bit-identical to products against `rhs`.
+    /// calls.  Packing is a pure relayout: products against the panel are
+    /// bit-identical to products against `rhs`, and
+    /// [`PackedRhs::unpack`] recovers `rhs` exactly.
     ///
     /// # Example
     ///
@@ -728,24 +711,90 @@ impl PackedRhs {
     /// let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]])?;
     /// let packed = PackedRhs::pack(&b);
     /// assert_eq!(a.matmul_prepacked_map(&packed, |_, x| x)?, a.matmul(&b)?);
+    /// assert_eq!(packed.unpack(), b);
     /// # Ok::<(), disthd_linalg::ShapeError>(())
     /// ```
     pub fn pack(rhs: &Matrix) -> Self {
+        Self::pack_with(rhs, false)
+    }
+
+    /// The one relayout routine: each 16-column tile is filled
+    /// independently, on the calling thread or fanned out over the
+    /// [`crate::parallel`] pool.  The final tile's padding lanes stay
+    /// zero, so padded lanes accumulate exact zeros in the kernel and are
+    /// simply not stored.
+    fn pack_with(rhs: &Matrix, parallel: bool) -> Self {
         let inner = rhs.rows;
         let b_cols = rhs.cols;
         let mut packed = Self::new(inner, b_cols);
         if inner == 0 || b_cols == 0 {
             return packed;
         }
-        for (tile, panel) in packed.data.chunks_mut(inner * GEMM_NW).enumerate() {
+        let fill = |tile: usize, panel: &mut [f32]| {
             let col0 = tile * GEMM_NW;
             let width = (b_cols - col0).min(GEMM_NW);
             for k in 0..inner {
                 panel[k * GEMM_NW..k * GEMM_NW + width]
                     .copy_from_slice(&rhs.data[k * b_cols + col0..k * b_cols + col0 + width]);
             }
+        };
+        let tile_len = inner * GEMM_NW;
+        if parallel {
+            parallel::par_chunks_mut(&mut packed.data, tile_len, fill);
+        } else {
+            for (tile, panel) in packed.data.chunks_mut(tile_len).enumerate() {
+                fill(tile, panel);
+            }
         }
         packed
+    }
+
+    /// Element `B[k][col]` of the logical right-hand matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= inner()` or `col >= cols()`.
+    pub fn get(&self, k: usize, col: usize) -> f32 {
+        assert!(
+            k < self.inner && col < self.cols,
+            "panel index ({k}, {col}) out of bounds"
+        );
+        self.data[(col / GEMM_NW) * self.inner * GEMM_NW + k * GEMM_NW + col % GEMM_NW]
+    }
+
+    /// Row `k` of the logical right-hand matrix as one slice per 16-column
+    /// tile, in ascending column order (the last slice is trimmed to the
+    /// live width).  Concatenated, the slices are `B[k][0..cols]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= inner()`.
+    pub fn row_segments(&self, k: usize) -> impl Iterator<Item = &[f32]> + '_ {
+        assert!(k < self.inner, "panel row {k} out of bounds");
+        let cols = self.cols;
+        self.data
+            .chunks_exact(self.inner * GEMM_NW)
+            .enumerate()
+            .map(move |(tile, panel)| {
+                let width = (cols - tile * GEMM_NW).min(GEMM_NW);
+                &panel[k * GEMM_NW..k * GEMM_NW + width]
+            })
+    }
+
+    /// The logical right-hand matrix, back in row-major order — the exact
+    /// inverse of [`PackedRhs::pack`].
+    pub fn unpack(&self) -> Matrix {
+        let mut data = Vec::with_capacity(self.inner * self.cols);
+        for k in 0..self.inner {
+            for segment in self.row_segments(k) {
+                data.extend_from_slice(segment);
+            }
+        }
+        Matrix {
+            rows: self.inner,
+            cols: self.cols,
+            data,
+        }
     }
 
     /// Mutable slots of logical column `col`, in ascending row (`k`)
@@ -1377,6 +1426,41 @@ mod tests {
             }
         }
         packed
+    }
+
+    #[test]
+    fn pack_agrees_with_every_panel_accessor() {
+        // The one relayout routine, serial or parallel, must match the
+        // slot-API fill (padding included) and invert exactly through
+        // `get`, `row_segments` and `unpack`.
+        for &(_, k, n) in PARITY_SHAPES {
+            let b = dense_random(k, n, 0x30 + n as u64);
+            let packed = PackedRhs::pack(&b);
+            assert_eq!(packed.data, pack_rhs(&b).data, "({k},{n}) slot fill");
+            assert_eq!(
+                PackedRhs::pack_with(&b, true).data,
+                packed.data,
+                "({k},{n}) parallel pack"
+            );
+            assert_eq!(packed.unpack().as_slice(), b.as_slice(), "({k},{n}) unpack");
+            for row in 0..k {
+                let joined: Vec<f32> = packed.row_segments(row).flatten().copied().collect();
+                assert_eq!(joined, b.row(row), "({k},{n}) row {row}");
+                for col in 0..n {
+                    assert_eq!(packed.get(row, col).to_bits(), b.get(row, col).to_bits());
+                }
+            }
+        }
+        for (k, n) in [(0, 5), (4, 0), (0, 0)] {
+            let b = Matrix::zeros(k, n);
+            assert_eq!(PackedRhs::pack(&b).unpack(), b);
+            assert_eq!(Matrix::zeros(3, k).matmul(&b).unwrap(), Matrix::zeros(3, n));
+        }
+        let b = dense_random(6, 20, 5);
+        assert_eq!(
+            Matrix::zeros(0, 6).matmul(&b).unwrap(),
+            Matrix::zeros(0, 20)
+        );
     }
 
     #[test]

@@ -35,8 +35,10 @@ pub enum TaskKind {
 pub struct AnomalyVerdict {
     /// Best class cosine in `[-1, 1]` (higher = more inlier-like).
     pub score: f32,
-    /// `score < threshold` under the model's calibrated threshold;
-    /// always `false` when the model carries no threshold (an
+    /// `score < threshold` under the model's calibrated threshold, and
+    /// always `true` for a non-finite score (a NaN compares false against
+    /// any threshold, so it would otherwise pass as an inlier).  A finite
+    /// score is never flagged when the model carries no threshold (an
     /// uncalibrated deployment flags nothing rather than guessing).
     pub anomalous: bool,
 }
@@ -125,7 +127,7 @@ pub(crate) fn score_task_batch(
                 for (&i, score) in idx.iter().zip(scores) {
                     out[i] = Some(TaskResponse::Anomaly(AnomalyVerdict {
                         score,
-                        anomalous: threshold.is_some_and(|t| score < t),
+                        anomalous: !score.is_finite() || threshold.is_some_and(|t| score < t),
                     }));
                 }
             }

@@ -261,6 +261,23 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_anomaly_scores_fail_closed() {
+        // A NaN feature poisons every projection, so the query's best
+        // cosine cannot be trusted; both pipelines must flag it rather
+        // than certify it as an inlier, with or without a threshold.
+        let mut q = testkit::tiny_queries(1).remove(0);
+        q[0] = f32::NAN;
+        for deployment in [tasked_deployment(2, 0.5), testkit::tiny_deployment()] {
+            for integer in [false, true] {
+                let mut engine = ServeEngine::new(deployment.clone(), BatchPolicy::window(4))
+                    .with_integer_pipeline(integer);
+                let verdict = engine.score_anomaly_one(&q).unwrap();
+                assert!(verdict.anomalous, "integer {integer}: {verdict:?}");
+            }
+        }
+    }
+
+    #[test]
     fn persisted_task_configuration_serves_after_load() {
         // A DHD3 artifact carries its task section into a fresh engine:
         // the loaded k and threshold drive serving without reconfiguration.

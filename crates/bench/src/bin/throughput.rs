@@ -11,15 +11,13 @@
 //! and predict phases run on, so CI exercises the full pipeline under both
 //! backends and diffs their accuracies across thread counts; the
 //! `encode_structured` phase and the structured-vs-dense accuracy
-//! comparison are always emitted.  `DISTHD_FHT_SCHEDULE` (`ascending` |
-//! `cascading-haar`) selects the structured backend's butterfly pass
-//! order, and `DISTHD_SYNTH_F` remaps the dataset to a synthetic feature
-//! count by cyclic repetition/truncation (to exercise non-power-of-two
-//! pad/half-block handling at widths the generator doesn't emit).  An
-//! `fht_phases` micro-bench block records per-schedule transform
-//! throughput and the pruned-vs-full ratio under synthetic eviction, and
-//! an in-bin bitwise gate proves the zero-aware and pruned FHT paths equal
-//! the full ascending transform on every live lane.  Emits
+//! comparison are always emitted.  `DISTHD_SYNTH_F` remaps the dataset
+//! to a synthetic feature count by cyclic repetition/truncation (to
+//! exercise non-power-of-two pad/half-block handling at widths the
+//! generator doesn't emit).  An `fht_phases` micro-bench block records
+//! transform throughput and the pruned-vs-full ratio under synthetic
+//! eviction, and an in-bin bitwise gate proves the zero-aware and pruned
+//! FHT paths equal the full transform on every live lane.  Emits
 //! `BENCH_throughput.json` (override the path with `DISTHD_BENCH_OUT`) and
 //! exits non-zero if the parallel backend's results are not bit-identical
 //! to serial, if parallel encode or train lose to serial on a machine that
@@ -105,34 +103,31 @@ fn synthetic_live(pct: u32) -> impl Fn(usize) -> bool {
     move |lane| (lane.wrapping_mul(2654435761) >> 7) as u32 % 100 >= pct
 }
 
-/// In-bin bitwise gate: zero-aware and pruned schedules must equal the
+/// In-bin bitwise gate: the zero-aware and pruned paths must equal the
 /// plain full transform on every live lane, at the bench's exact shapes.
 /// Returns `false` (→ non-zero exit) on any mismatch.
 fn fht_bitwise_live_lanes_ok() -> bool {
     let mut ok = true;
     for &n in &[1024usize, 4096] {
         // Zero-aware front end vs transforming the padded buffer in full,
-        // under both schedules, at the ISOLET and synth non-pow2 widths.
+        // at the ISOLET and synth non-pow2 widths.
         for &nz in &[617usize, 1000, n] {
             let nz = nz.min(n);
-            let mut padded = fht_bench_input(nz);
-            padded.resize(n, 0.0);
-            for schedule in [FhtSchedule::Ascending, FhtSchedule::CascadingHaar] {
-                let mut reference = padded.clone();
-                fht_inplace_opts(&mut reference, &FhtOpts::dense(schedule));
-                let mut aware = padded.clone();
-                fht_inplace_opts(
-                    &mut aware,
-                    &FhtOpts {
-                        nonzero_len: nz,
-                        ..FhtOpts::dense(schedule)
-                    },
-                );
-                ok &= reference
-                    .iter()
-                    .zip(&aware)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            }
+            let mut reference = fht_bench_input(nz);
+            reference.resize(n, 0.0);
+            let mut aware = reference.clone();
+            fht_inplace(&mut reference);
+            fht_inplace_opts(
+                &mut aware,
+                &FhtOpts {
+                    nonzero_len: nz,
+                    ..FhtOpts::dense(FhtSchedule::Ascending)
+                },
+            );
+            ok &= reference
+                .iter()
+                .zip(&aware)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
         }
         // Pruned final stage vs the full ascending transform on live lanes.
         for &pct in &[10u32, 25] {
@@ -248,12 +243,11 @@ fn main() {
         data.train = remap_feature_dim(&data.train, new_f);
         data.test = remap_feature_dim(&data.test, new_f);
     }
-    let fht_schedule = FhtSchedule::from_env();
     let train_n = data.train.len();
     let test_n = data.test.len();
     println!(
         "throughput: {} (scale {scale}), D = {DIM}, F = {}, {} train / {} test samples, \
-         encoder = {encoder_backend}, fht schedule = {fht_schedule}, \
+         encoder = {encoder_backend}, \
          parallel = {parallel_threads} thread(s)\n",
         dataset.name(),
         data.train.feature_dim(),
@@ -563,31 +557,25 @@ fn main() {
     let structured_regression =
         (machine_cores > 1 && structured_speedup < 6.0) || accuracy_regression;
 
-    // -- fht_phases micro-bench: per-schedule serial transform throughput
-    //    and the pruned-vs-full ratio under synthetic eviction, plus the
-    //    bitwise gate proving the skip paths touch no live lane.
+    // -- fht_phases micro-bench: serial transform throughput and the
+    //    pruned-vs-full ratio under synthetic eviction, plus the bitwise
+    //    gate proving the skip paths touch no live lane.
     let fht_batch = |n: usize| (1 << 22) / n; // ~4M lanes per rep
-    let mut schedule_sps = [[0.0f64; 2]; 2];
-    for (i, &n) in [1024usize, 4096].iter().enumerate() {
-        for (j, schedule) in [FhtSchedule::Ascending, FhtSchedule::CascadingHaar]
-            .into_iter()
-            .enumerate()
-        {
-            schedule_sps[i][j] = fht_sps(n, fht_batch(n), &FhtOpts::dense(schedule));
-        }
-    }
+    let dense_fht = FhtOpts::dense(FhtSchedule::Ascending);
+    let [fht_sps_1024, fht_sps_4096] =
+        [1024usize, 4096].map(|n| fht_sps(n, fht_batch(n), &dense_fht));
     let pruned_ratio: Vec<(u32, f64)> = [0u32, 10, 25]
         .into_iter()
         .map(|pct| {
             let n = 4096;
             let plan = FhtPrunePlan::from_live(n, synthetic_live(pct));
-            let full = fht_sps(n, fht_batch(n), &FhtOpts::dense(FhtSchedule::Ascending));
+            let full = fht_sps(n, fht_batch(n), &dense_fht);
             let pruned = fht_sps(
                 n,
                 fht_batch(n),
                 &FhtOpts {
                     prune: Some(&plan),
-                    ..FhtOpts::dense(FhtSchedule::Ascending)
+                    ..dense_fht
                 },
             );
             (pct, pruned / full.max(1e-12))
@@ -609,11 +597,7 @@ fn main() {
          (comparison meaningful: {parallel_comparison_meaningful})"
     );
     println!("structured encode vs dense serial  = {structured_speedup:.3}x");
-    println!(
-        "fht d=1024: ascending {:.0} sps, cascading-haar {:.0} sps; \
-         d=4096: ascending {:.0} sps, cascading-haar {:.0} sps",
-        schedule_sps[0][0], schedule_sps[0][1], schedule_sps[1][0], schedule_sps[1][1]
-    );
+    println!("fht d=1024: {fht_sps_1024:.0} sps; d=4096: {fht_sps_4096:.0} sps");
     for (pct, ratio) in &pruned_ratio {
         println!("fht pruned/full at {pct}% eviction (d=4096) = {ratio:.3}x");
     }
@@ -644,7 +628,7 @@ fn main() {
         "{{\n  \"bench\": \"throughput\",\n  \"dataset\": \"{}\",\n  \"dim\": {DIM},\n  \
          \"scale\": {scale},\n  \"train_samples\": {train_n},\n  \"test_samples\": {test_n},\n  \
          \"train_epochs\": {TRAIN_EPOCHS},\n  \"encoder_backend\": \"{encoder_backend}\",\n  \
-         \"fht_schedule\": \"{fht_schedule}\",\n  \"feature_dim\": {},\n  \
+         \"feature_dim\": {},\n  \
          \"synth_f\": {synth_f_json},\n  \
          \"threads_parallel\": {parallel_threads},\n  \
          \"machine_cores\": {machine_cores},\n  \
@@ -652,8 +636,8 @@ fn main() {
          \"top2\": {},\n    \"train\": {},\n    \
          \"predict\": {}\n  }},\n  \
          \"fht_phases\": {{\n    \
-         \"d1024\": {{ \"ascending_sps\": {:.2}, \"cascading_haar_sps\": {:.2} }},\n    \
-         \"d4096\": {{ \"ascending_sps\": {:.2}, \"cascading_haar_sps\": {:.2} }},\n    \
+         \"d1024\": {{ \"ascending_sps\": {fht_sps_1024:.2} }},\n    \
+         \"d4096\": {{ \"ascending_sps\": {fht_sps_4096:.2} }},\n    \
          \"pruned_over_full_d4096\": {{ {pruned_ratio_json} }},\n    \
          \"bitwise_live_lanes_ok\": {fht_bitwise_ok}\n  }},\n  \
          \"int_encode\": [\n    {}\n  ],\n  \
@@ -680,10 +664,6 @@ fn main() {
         top2.json(),
         train.json(),
         predict.json(),
-        schedule_sps[0][0],
-        schedule_sps[0][1],
-        schedule_sps[1][0],
-        schedule_sps[1][1],
         int_encode_json.join(",\n    ")
     );
     let out_path =

@@ -94,12 +94,9 @@ pub struct DistHdConfig {
     /// (same kernel map, same regeneration semantics — a speed knob; see
     /// `disthd_hd::encoder::StructuredRbfEncoder`).
     pub encoder_backend: EncoderBackend,
-    /// Butterfly pass order of the structured backend's Walsh–Hadamard
-    /// transforms (ignored by the dense backend).  Defaults to the
-    /// `DISTHD_FHT_SCHEDULE` environment knob.  Schedules differ only in
-    /// floating-point rounding; each is bit-deterministic across kernel
-    /// tiers and thread counts, and the choice is never persisted — DHD
-    /// artifact bytes are schedule-independent.
+    /// Remains only for source compatibility and selects nothing: the
+    /// structured backend has a single butterfly order (see
+    /// [`FhtSchedule`]).
     pub fht_schedule: FhtSchedule,
 }
 
@@ -115,7 +112,7 @@ impl Default for DistHdConfig {
             patience: Some(6),
             seed: RngSeed::default(),
             encoder_backend: EncoderBackend::default(),
-            fht_schedule: FhtSchedule::from_env(),
+            fht_schedule: FhtSchedule::default(),
         }
     }
 }

@@ -75,11 +75,8 @@ impl DistHd {
     /// [`DistHdConfig::validate`]).
     pub fn new(config: DistHdConfig, feature_dim: usize, class_count: usize) -> Self {
         config.validate();
-        let mut encoder =
+        let encoder =
             AnyRbfEncoder::new(config.encoder_backend, feature_dim, config.dim, config.seed);
-        // Schedule choice changes FHT rounding, never DHD bytes — applied
-        // to the live encoder only, a no-op on the dense backend.
-        encoder.set_fht_schedule(config.fht_schedule);
         Self {
             config,
             encoder,

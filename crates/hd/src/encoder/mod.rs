@@ -14,23 +14,11 @@
 //! * [`AnyRbfEncoder`] — runtime dispatch between the two RBF backends
 //!   (selected by [`EncoderBackend`]); what the trainer and deployments
 //!   actually hold.
-//! * [`LinearProjectionEncoder`] — plain random projection `H = B·F`,
-//!   the static encoder of classical HDC.
-//! * [`LevelIdEncoder`] — quantized level/ID binding encoder for
-//!   bipolar pipelines.
-//! * [`RecordEncoder`] — key–value record encoder with approximate
-//!   per-field readout.
 
-mod level;
-mod projection;
 mod rbf;
-mod record;
 mod structured;
 
-pub use level::LevelIdEncoder;
-pub use projection::LinearProjectionEncoder;
 pub use rbf::{RbfEncoder, DEFAULT_BANDWIDTH};
-pub use record::RecordEncoder;
 pub use structured::StructuredRbfEncoder;
 
 use disthd_linalg::{Matrix, RngSeed, SeededRng, ShapeError};
@@ -215,23 +203,10 @@ impl AnyRbfEncoder {
         }
     }
 
-    /// Overrides the FHT butterfly pass order of the structured backend
-    /// (see [`StructuredRbfEncoder::set_fht_schedule`]); a no-op on the
-    /// dense backend, so config plumbing never has to branch.
-    pub fn set_fht_schedule(&mut self, schedule: disthd_linalg::FhtSchedule) {
-        if let Self::Structured(e) = self {
-            e.set_fht_schedule(schedule);
-        }
-    }
-
-    /// The structured backend's FHT schedule, if that is the active
-    /// backend.
-    pub fn fht_schedule(&self) -> Option<disthd_linalg::FhtSchedule> {
-        match self {
-            Self::Dense(_) => None,
-            Self::Structured(e) => Some(e.fht_schedule()),
-        }
-    }
+    /// A no-op on either backend.  Remains only for source compatibility:
+    /// the structured backend has a single butterfly order (see
+    /// [`disthd_linalg::FhtSchedule`]).
+    pub fn set_fht_schedule(&mut self, _schedule: disthd_linalg::FhtSchedule) {}
 
     /// Which backend this encoder runs on.
     pub fn backend(&self) -> EncoderBackend {

@@ -104,13 +104,9 @@ struct BlockSpec {
 /// epilogue, so downstream behaviour (bandwidth, centering, quantization)
 /// is unchanged.
 ///
-/// ## Schedules and pruning
+/// ## Pruning
 ///
-/// The butterfly pass order is a process-wide knob
-/// ([`FhtSchedule::from_env`], overridable per encoder via
-/// [`StructuredRbfEncoder::set_fht_schedule`]); it is never persisted, so
-/// DHD artifacts are schedule-independent.  Under the default ascending
-/// schedule the third transform of every block runs with a final-stage
+/// The third transform of every block runs with a final-stage
 /// [`FhtPrunePlan`] that elides butterflies whose both output lanes are
 /// dead — evicted to the dense overlay or beyond the consumed output
 /// width — and the copy + half-angle epilogue likewise skips dead lanes.
@@ -182,10 +178,8 @@ pub struct StructuredRbfEncoder {
     /// panel (column `j` = overlay row `j`), rebuilt once per
     /// [`RegenerativeEncoder::regenerate`] call so no encode re-packs it.
     overlay_panel: PackedRhs,
-    /// Butterfly pass order for every block transform (never persisted).
-    schedule: FhtSchedule,
-    /// Whether the final-stage prune plans are applied (ascending schedule
-    /// only; on by default — pruning is bitwise-invisible on live dims).
+    /// Whether the final-stage prune plans are applied (on by default —
+    /// pruning is bitwise-invisible on live dims).
     prune_enabled: bool,
     /// Per-block final-stage prune plan; `None` when the block is fully
     /// live (or too small to stage-prune).  Rebuilt on regeneration.
@@ -334,7 +328,6 @@ impl StructuredRbfEncoder {
             overlay_dims: Vec::new(),
             overlay_rows: Matrix::zeros(0, input_dim),
             overlay_panel: PackedRhs::new(input_dim, 0),
-            schedule: FhtSchedule::from_env(),
             prune_enabled: true,
             prune_plans: Vec::new(),
             live_runs: Vec::new(),
@@ -415,18 +408,10 @@ impl StructuredRbfEncoder {
         words
     }
 
-    /// Butterfly pass order used by every block transform.
+    /// Always [`FhtSchedule::Ascending`].  Remains only for source
+    /// compatibility: the block transforms have a single butterfly order.
     pub fn fht_schedule(&self) -> FhtSchedule {
-        self.schedule
-    }
-
-    /// Overrides the butterfly pass order (defaults to
-    /// [`FhtSchedule::from_env`] at construction).  Schedules differ in
-    /// floating-point rounding, so encoded values change in the low bits;
-    /// each schedule is bit-deterministic within itself across tiers and
-    /// thread counts.
-    pub fn set_fht_schedule(&mut self, schedule: FhtSchedule) {
-        self.schedule = schedule;
+        FhtSchedule::Ascending
     }
 
     /// Whether final-stage pruning and dead-lane epilogue skipping are
@@ -532,7 +517,6 @@ impl StructuredRbfEncoder {
             overlay_dims,
             overlay_rows,
             overlay_panel,
-            schedule: FhtSchedule::from_env(),
             prune_enabled: true,
             prune_plans: Vec::new(),
             live_runs: Vec::new(),
@@ -590,9 +574,9 @@ impl StructuredRbfEncoder {
     /// for block `b`, with the `s₁` multiply fused into the window copy
     /// and `s₂`/`s₃` fused into their transforms' first passes (all
     /// bit-identical to multiplying first).  The first transform declares
-    /// the zero tail; the last carries the block's prune plan (ascending
-    /// schedule only).  No scale or nonlinearity — shared verbatim by the
-    /// batch encode and the partial re-encode so both are bit-identical.
+    /// the zero tail; the last carries the block's prune plan.  No scale
+    /// or nonlinearity — shared verbatim by the batch encode and the
+    /// partial re-encode so both are bit-identical.
     fn transform_block(&self, features: &[f32], b: usize, scratch: &mut [f32]) {
         let spec = &self.blocks[b];
         let td = spec.transform_dim;
@@ -605,32 +589,27 @@ impl StructuredRbfEncoder {
             *slot = f * s;
         }
         scratch[spec.window_len..].fill(0.0);
-        let schedule = self.schedule;
+        let dense = FhtOpts::dense(FhtSchedule::Ascending);
         fht_inplace_opts(
             scratch,
             &FhtOpts {
                 nonzero_len: spec.window_len,
-                ..FhtOpts::dense(schedule)
+                ..dense
             },
         );
         fht_inplace_opts(
             scratch,
             &FhtOpts {
                 first_stage_signs: Some(s2),
-                ..FhtOpts::dense(schedule)
+                ..dense
             },
         );
-        let prune = if self.prune_enabled && schedule == FhtSchedule::Ascending {
-            self.prune_plans[b].as_ref()
-        } else {
-            None
-        };
         fht_inplace_opts(
             scratch,
             &FhtOpts {
                 first_stage_signs: Some(s3),
-                prune,
-                ..FhtOpts::dense(schedule)
+                prune: self.prune_plans[b].as_ref().filter(|_| self.prune_enabled),
+                ..dense
             },
         );
     }
@@ -1300,38 +1279,6 @@ mod tests {
         let full = enc.encode_batch(&batch).unwrap();
         assert_eq!(pruned.as_slice(), full.as_slice());
         assert_eq!(single_pruned, enc.encode(batch.row(0)).unwrap());
-    }
-
-    #[test]
-    fn cascading_haar_schedule_is_deterministic_and_differs() {
-        let mut enc = encoder();
-        let input = [0.4, -0.6, 0.2, 0.9, -0.3, 0.1];
-        let ascending = enc.encode(&input).unwrap();
-        enc.set_fht_schedule(FhtSchedule::CascadingHaar);
-        assert_eq!(enc.fht_schedule(), FhtSchedule::CascadingHaar);
-        let haar_a = enc.encode(&input).unwrap();
-        let haar_b = enc.encode(&input).unwrap();
-        assert_eq!(haar_a, haar_b, "schedule must be deterministic");
-        assert_ne!(ascending, haar_a, "schedules reorder additions");
-        // Same kernel, different rounding: values stay close.
-        for (i, (&a, &h)) in ascending.iter().zip(haar_a.iter()).enumerate() {
-            assert!((a - h).abs() < 1e-3, "dim {i}: {a} vs {h}");
-        }
-    }
-
-    #[test]
-    fn cascading_haar_batch_is_bit_identical_across_thread_counts() {
-        let mut enc = StructuredRbfEncoder::new(6, 1030, RngSeed(21));
-        enc.set_fht_schedule(FhtSchedule::CascadingHaar);
-        let batch = Matrix::from_fn(19, 6, |r, c| ((r + 2 * c) as f32).sin() * 0.4 + 0.5);
-        let serial =
-            disthd_linalg::parallel::with_thread_count(1, || enc.encode_batch(&batch).unwrap());
-        for threads in [2usize, 8] {
-            let parallel = disthd_linalg::parallel::with_thread_count(threads, || {
-                enc.encode_batch(&batch).unwrap()
-            });
-            assert_eq!(serial.as_slice(), parallel.as_slice(), "{threads} threads");
-        }
     }
 
     #[test]

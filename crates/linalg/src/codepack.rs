@@ -41,7 +41,7 @@
 pub fn sign_codes(values: &[f32], codes: &mut [u8]) {
     assert_eq!(values.len(), codes.len(), "code buffer length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if crate::epilogue::avx2_available() {
+    if crate::isa::Isa::detected().avx2() {
         // SAFETY: the host supports AVX2 (runtime-checked above).
         unsafe { sign_codes_avx2(values, codes) };
         return;
@@ -78,7 +78,7 @@ pub fn symmetric_codes(values: &[f32], scale: f32, qmax: i32, codes: &mut [u8]) 
     assert_eq!(values.len(), codes.len(), "code buffer length mismatch");
     assert!((1..=127).contains(&qmax), "qmax out of byte range");
     #[cfg(target_arch = "x86_64")]
-    if crate::epilogue::avx2_available() {
+    if crate::isa::Isa::detected().avx2() {
         // SAFETY: the host supports AVX2 (runtime-checked above).
         unsafe { symmetric_codes_avx2(values, scale, qmax, codes) };
         return;

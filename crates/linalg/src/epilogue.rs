@@ -106,7 +106,7 @@ pub fn half_angle_row(row: &mut [f32], scale: f32, phases: &[f32], phase_sins: &
     assert_eq!(row.len(), phases.len(), "phase length mismatch");
     assert_eq!(row.len(), phase_sins.len(), "phase_sin length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if crate::isa::Isa::detected().avx2() {
         // SAFETY: the host supports AVX2 (runtime-checked above).
         unsafe { half_angle_row_avx2(row, scale, phases, phase_sins) };
         return;
@@ -118,13 +118,6 @@ fn half_angle_row_portable(row: &mut [f32], scale: f32, phases: &[f32], phase_si
     for j in 0..row.len() {
         row[j] = half_angle(row[j] * scale, phases[j], phase_sins[j]);
     }
-}
-
-/// Runtime AVX2 availability, memoized (same pattern as the GEMM tier).
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn avx2_available() -> bool {
-    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 #[cfg(target_arch = "x86_64")]

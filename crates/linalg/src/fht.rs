@@ -33,38 +33,30 @@
 //!   AVX2 `std::arch` tier on x86_64, mirroring the GEMM's `KernelTier`.
 //!   Tiers never change results (adds and subtracts of identical operands).
 //!
-//! ## Schedules, zero tails and pruning
+//! ## Zero tails, fused signs and pruning
 //!
 //! [`fht_inplace_opts`] layers three refinements over the plain transform,
-//! all driven by [`FhtOpts`]:
+//! all driven by [`FhtOpts`] and all bit-identical to it on every lane
+//! they promise:
 //!
-//! * **Schedules** ([`FhtSchedule`]) — the stage matrices `I ⊗ H₂ ⊗ I`
-//!   commute exactly, so any stride order computes the same transform with
-//!   (possibly) different floating-point rounding.  `Ascending` is the
-//!   default above; `CascadingHaar` is the in-place realization of the
-//!   cascading-Haar factorization `H_n = (I₂ ⊗ H_{n/2})·(H₂ ⊗ I_{n/2})`
-//!   (Thompson, arXiv:1609.06641) — recurse after a stride-`n/2` butterfly,
-//!   which flattens to the **descending**-stride pass order.  Each schedule
-//!   is bit-identical to itself across tiers and blockings; the two
-//!   schedules are *not* bit-identical to each other.
 //! * **Zero-aware front end** (`nonzero_len`) — when the caller guarantees
 //!   a `+0.0` tail (zero-padded input), early passes skip all-zero groups
 //!   outright and specialize straddling groups to `lo ← lo + 0.0`,
 //!   `hi ← lo` (copy) — bit-identical to the full butterfly because
 //!   `x − 0.0 ≡ x` and `x + 0.0` only normalizes `−0.0`, exactly as the
 //!   true add would against a `+0.0` operand.
+//! * **Fused first-stage signs** — a ±1 diagonal folded into the first
+//!   butterfly pass's loads (the same multiplies before the same adds).
 //! * **Pruned back end** ([`FhtPrunePlan`]) — the final stride-`n/2` stage
 //!   is the only stage whose butterflies feed exactly two output lanes
 //!   each, so a butterfly whose *both* outputs are dead (evicted to the
 //!   encoder's dense overlay, or beyond the consumed width) can be elided
 //!   without touching any live lane.  Live lanes see the identical
 //!   operation sequence, hence stay bitwise equal to the unpruned
-//!   transform.  Pruning applies to the `Ascending` schedule only (under
-//!   `CascadingHaar` the final stage has stride 1 and its pairs do not map
-//!   onto the lane mask the same way); plans are ignored there.
+//!   transform.
 
-use std::str::FromStr;
-use std::sync::OnceLock;
+#[cfg(target_arch = "x86_64")]
+use crate::isa::Isa;
 
 /// Largest sub-transform run to completion inside one cache block:
 /// 4096 f32 = 16 KiB, resident in a 32 KiB L1 alongside its write stream.
@@ -90,19 +82,13 @@ enum FhtTier {
     Avx2,
 }
 
-/// Resolves the butterfly tier once per process (mirrors the GEMM's
-/// `kernel_tier`).
+/// The butterfly tier for this host (AVX2 when [`Isa::detected`] has it).
 fn fht_tier() -> FhtTier {
-    static TIER: OnceLock<FhtTier> = OnceLock::new();
-    *TIER.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return FhtTier::Avx2;
-            }
-        }
-        FhtTier::Portable
-    })
+    #[cfg(target_arch = "x86_64")]
+    if Isa::detected().avx2() {
+        return FhtTier::Avx2;
+    }
+    FhtTier::Portable
 }
 
 /// Applies the unnormalized Walsh–Hadamard transform to `data` in place.
@@ -266,66 +252,14 @@ unsafe fn cross_pass_avx2(data: &mut [f32], stride: usize) {
 
 /// Butterfly pass order of the in-place Walsh–Hadamard transform.
 ///
-/// Every schedule computes the exact same linear transform (the stage
-/// matrices commute), but floating-point rounding differs between
-/// schedules, so each is bit-deterministic **within itself** — across
-/// tiers, blockings and thread counts — while two schedules generally
-/// disagree in the low bits.  Selected process-wide through the
-/// `DISTHD_FHT_SCHEDULE` environment variable (see
-/// [`FhtSchedule::from_env`]); never persisted, so model artifacts are
-/// schedule-independent.
+/// Only the ascending order exists; the type remains so code that names
+/// [`FhtSchedule::Ascending`] (through [`FhtOpts::dense`] or the encoder
+/// and config accessors) keeps compiling.  It selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FhtSchedule {
-    /// Stride 1 first, `n/2` last — the radix-8 blocked default, and the
-    /// only schedule the final-stage [`FhtPrunePlan`] applies to.
+    /// Stride 1 first, `n/2` last — the radix-8 blocked transform.
     #[default]
     Ascending,
-    /// Cascading-Haar order (Thompson, arXiv:1609.06641): the recursive
-    /// factorization `H_n = (I₂ ⊗ H_{n/2})·(H₂ ⊗ I_{n/2})` applied in
-    /// place, which executes strides descending from `n/2` to 1.  Under a
-    /// zero tail this order keeps whole groups zero at *every* level, so
-    /// its zero-aware skip persists where the ascending schedule's erodes.
-    CascadingHaar,
-}
-
-impl FhtSchedule {
-    /// Canonical knob spelling (`ascending` / `cascading-haar`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FhtSchedule::Ascending => "ascending",
-            FhtSchedule::CascadingHaar => "cascading-haar",
-        }
-    }
-
-    /// Resolves the schedule from `DISTHD_FHT_SCHEDULE` (defaults to
-    /// [`FhtSchedule::Ascending`]; unrecognized values fall back to the
-    /// default rather than aborting encodes mid-flight).
-    pub fn from_env() -> Self {
-        std::env::var("DISTHD_FHT_SCHEDULE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default()
-    }
-}
-
-impl std::fmt::Display for FhtSchedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for FhtSchedule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "ascending" | "asc" => Ok(FhtSchedule::Ascending),
-            "cascading-haar" | "cascading_haar" | "haar" => Ok(FhtSchedule::CascadingHaar),
-            other => Err(format!(
-                "unknown FHT schedule {other:?} (expected `ascending` or `cascading-haar`)"
-            )),
-        }
-    }
 }
 
 /// Final-stage prune plan: which stride-`n/2` butterflies still feed a
@@ -405,15 +339,13 @@ impl FhtPrunePlan {
     }
 }
 
-/// Options for [`fht_inplace_opts`] — schedule, zero-tail extent, fused
+/// Options for [`fht_inplace_opts`] — zero-tail extent, fused
 /// first-stage diagonal and final-stage prune plan.  Construct through
 /// [`FhtOpts::dense`] and override fields as needed (there is no
 /// `Default`: a defaulted `nonzero_len` of 0 would silently declare the
 /// whole input zero).
 #[derive(Debug, Clone, Copy)]
 pub struct FhtOpts<'a> {
-    /// Butterfly pass order.
-    pub schedule: FhtSchedule,
     /// Leading lanes that may be nonzero.  **Contract:** every lane at
     /// index `>= nonzero_len` must hold `+0.0` *bits* (the natural state
     /// of a freshly zero-padded buffer); the zero-aware passes then skip
@@ -426,16 +358,15 @@ pub struct FhtOpts<'a> {
     /// input (`nonzero_len >= data.len()`): a `−1` sign on a zero lane
     /// would mint `−0.0` and break the zero-tail bit contract.
     pub first_stage_signs: Option<&'a [f32]>,
-    /// Optional final-stage prune plan ([`Ascending`](FhtSchedule) only;
-    /// ignored under `CascadingHaar`).
+    /// Optional final-stage prune plan.
     pub prune: Option<&'a FhtPrunePlan>,
 }
 
 impl<'a> FhtOpts<'a> {
-    /// Dense, unpruned transform under `schedule`.
-    pub fn dense(schedule: FhtSchedule) -> Self {
+    /// Dense, unpruned transform.  The schedule argument remains only for
+    /// source compatibility and selects nothing (see [`FhtSchedule`]).
+    pub fn dense(_schedule: FhtSchedule) -> Self {
         Self {
-            schedule,
             nonzero_len: usize::MAX,
             first_stage_signs: None,
             prune: None,
@@ -443,7 +374,7 @@ impl<'a> FhtOpts<'a> {
     }
 }
 
-/// [`fht_inplace`] with an explicit schedule, zero-tail extent, fused
+/// [`fht_inplace`] with an explicit zero-tail extent, fused
 /// first-stage sign diagonal and final-stage prune plan — the structured
 /// encoder's entry point (see the module docs for the soundness
 /// arguments).  With default options this is exactly [`fht_inplace`].
@@ -491,31 +422,23 @@ fn fht_inplace_opts_tier(data: &mut [f32], opts: &FhtOpts, tier: FhtTier) {
         // everywhere — already in place.
         return;
     }
-    if n < 16 {
-        // Tiny transforms: fusing signs into a radix-8 base would collide
-        // with the descending schedule's first pass at n = 8 (and with the
-        // pruned final pass at n = 2); a plain upfront multiply costs
-        // nothing here and keeps every downstream branch simple.  The
-        // bits are unchanged either way — the multiply happens before any
-        // butterfly touches the lane.
+    if n < 8 {
+        // n ∈ {2, 4}: no radix-8 base to fuse the signs into, so multiply
+        // upfront.  The bits are unchanged — the multiply happens before
+        // any butterfly touches the lane.
         if let Some(s) = signs.take() {
             for (v, &sg) in data.iter_mut().zip(s) {
                 *v *= sg;
             }
         }
     }
-    match opts.schedule {
-        FhtSchedule::Ascending => {
-            let prune = opts.prune.filter(|p| !p.is_full());
-            if nz >= n && signs.is_none() && prune.is_none() {
-                // Dense unpruned: the cache-blocked radix-8 fast path
-                // (bit-identical to the plain ascending loop below).
-                fht_inplace_tier(data, tier);
-            } else {
-                fht_ascending_opts(data, nz, signs, prune, tier);
-            }
-        }
-        FhtSchedule::CascadingHaar => fht_haar_opts(data, nz, signs, tier),
+    let prune = opts.prune.filter(|p| !p.is_full());
+    if nz >= n && signs.is_none() && prune.is_none() {
+        // Dense unpruned: the cache-blocked radix-8 fast path
+        // (bit-identical to the plain ascending loop below).
+        fht_inplace_tier(data, tier);
+    } else {
+        fht_ascending_opts(data, nz, signs, prune, tier);
     }
 }
 
@@ -609,99 +532,6 @@ fn ascending_streaming(
         }
         stride <<= 1;
     }
-}
-
-/// Cascading-Haar schedule: strides descending from `n/2` to 1, with
-/// zero-tail skipping and optional signs fused into the first pass.
-///
-/// After a stride-`s` pass, every `s`-aligned group's nonzero prefix is
-/// `min(rel, s)` where `rel` was the (uniform) prefix of its parent
-/// `2s`-group — so a short prefix persists down every level and the
-/// skipped work *compounds*, unlike the ascending schedule where the
-/// extent grows each pass.
-fn fht_haar_opts(data: &mut [f32], nz: usize, signs: Option<&[f32]>, tier: FhtTier) {
-    let n = data.len();
-    let mut rel = nz;
-    let mut stride = n / 2;
-    if let Some(s) = signs {
-        // Dense by contract; one group at stride n/2.  Only reachable for
-        // n >= 16 (smaller transforms multiply upfront), so this pass
-        // never overlaps the radix-8 tail kernel below.
-        let (lo, hi) = data.split_at_mut(stride);
-        let (slo, shi) = s.split_at(stride);
-        for j in 0..stride {
-            let a = lo[j] * slo[j];
-            let b = hi[j] * shi[j];
-            lo[j] = a + b;
-            hi[j] = a - b;
-        }
-        rel = rel.min(stride);
-        stride /= 2;
-    }
-    if n >= 8 {
-        while stride >= 8 {
-            let group = 2 * stride;
-            if rel >= group {
-                cross_pass_any(data, stride, tier);
-            } else {
-                // Every group has the same nonzero prefix `rel`.
-                for g in data.chunks_exact_mut(group) {
-                    zero_tail_group(g, stride, rel);
-                }
-            }
-            rel = rel.min(stride);
-            stride /= 2;
-        }
-        // Strides 4, 2, 1 in registers.  Per 8-group this performs the
-        // same operand pairs in the same order as three descending
-        // per-stride passes, and groups are independent at these strides,
-        // so the result is bit-identical to the pass-by-pass ladder.  Any
-        // zero tail inside a group holds true +0.0 lanes, for which the
-        // full butterfly is exact.
-        for g in data.chunks_exact_mut(8) {
-            butterfly8_descending(g);
-        }
-    } else {
-        while stride >= 1 {
-            let group = 2 * stride;
-            if rel >= group {
-                cross_pass_portable(data, stride);
-            } else {
-                for g in data.chunks_exact_mut(group) {
-                    zero_tail_group(g, stride, rel);
-                }
-            }
-            rel = rel.min(stride);
-            if stride == 1 {
-                break;
-            }
-            stride /= 2;
-        }
-    }
-}
-
-/// Strides 4, 2 and 1 of one 8-element group in **descending** order —
-/// the cascading-Haar counterpart of [`butterfly8`].  Pairs (0,4)(1,5)…,
-/// then (0,2)(1,3)(4,6)(5,7), then (0,1)(2,3)(4,5)(6,7): exactly the
-/// per-stride descending ladder's operation sequence, kept in registers.
-#[inline]
-fn butterfly8_descending(x: &mut [f32]) {
-    let (a0, a4) = (x[0] + x[4], x[0] - x[4]);
-    let (a1, a5) = (x[1] + x[5], x[1] - x[5]);
-    let (a2, a6) = (x[2] + x[6], x[2] - x[6]);
-    let (a3, a7) = (x[3] + x[7], x[3] - x[7]);
-    let (b0, b2) = (a0 + a2, a0 - a2);
-    let (b1, b3) = (a1 + a3, a1 - a3);
-    let (b4, b6) = (a4 + a6, a4 - a6);
-    let (b5, b7) = (a5 + a7, a5 - a7);
-    x[0] = b0 + b1;
-    x[1] = b0 - b1;
-    x[2] = b2 + b3;
-    x[3] = b2 - b3;
-    x[4] = b4 + b5;
-    x[5] = b4 - b5;
-    x[6] = b6 + b7;
-    x[7] = b6 - b7;
 }
 
 /// One stride-`s` butterfly over a single `2s` group whose nonzero lanes
@@ -938,7 +768,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_tier_matches_portable_bitwise() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
+        if !Isa::detected().avx2() {
             return;
         }
         for n in [16usize, 1024, 2 * FHT_BLOCK] {
@@ -989,109 +819,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cascading_haar_matches_naive_hadamard() {
-        for exp in 1..=9 {
-            let n = 1 << exp;
-            let input = pseudo_random(n, 0x4AA2 + exp as u64);
-            let mut fast = input.clone();
-            fht_inplace_opts(&mut fast, &FhtOpts::dense(FhtSchedule::CascadingHaar));
-            let expected = naive_hadamard(&input);
-            for (i, (&got, &want)) in fast.iter().zip(expected.iter()).enumerate() {
-                assert!(
-                    (f64::from(got) - want).abs() < 1e-3 * want.abs().max(1.0),
-                    "n = {n}, element {i}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cascading_haar_involution_is_exact_on_integer_inputs() {
-        for n in [8usize, 256, 4096] {
-            let input: Vec<f32> = (0..n).map(|i| ((i * 29 + 5) % 37) as f32 - 18.0).collect();
-            let mut data = input.clone();
-            let opts = FhtOpts::dense(FhtSchedule::CascadingHaar);
-            fht_inplace_opts(&mut data, &opts);
-            fht_inplace_opts(&mut data, &opts);
-            for (i, (&got, &x)) in data.iter().zip(input.iter()).enumerate() {
-                assert_eq!(got, x * n as f32, "n = {n}, element {i}");
-            }
-        }
-    }
-
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn schedules_are_tier_invariant_bitwise() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
+    fn opts_path_is_tier_invariant_bitwise() {
+        if !Isa::detected().avx2() {
             return;
         }
-        for schedule in [FhtSchedule::Ascending, FhtSchedule::CascadingHaar] {
-            for n in [64usize, 1024, 2 * FHT_BLOCK] {
-                let input = pseudo_random(n, 0x7E + n as u64);
-                let opts = FhtOpts::dense(schedule);
-                let mut portable = input.clone();
-                fht_inplace_opts_tier(&mut portable, &opts, FhtTier::Portable);
-                let mut avx2 = input;
-                fht_inplace_opts_tier(&mut avx2, &opts, FhtTier::Avx2);
-                assert_eq!(portable, avx2, "{schedule}, n = {n}");
-            }
+        for n in [64usize, 1024, 2 * FHT_BLOCK] {
+            let input = pseudo_random(n, 0x7E + n as u64);
+            let opts = FhtOpts::dense(FhtSchedule::Ascending);
+            let mut portable = input.clone();
+            fht_inplace_opts_tier(&mut portable, &opts, FhtTier::Portable);
+            let mut avx2 = input;
+            fht_inplace_opts_tier(&mut avx2, &opts, FhtTier::Avx2);
+            assert_eq!(portable, avx2, "n = {n}");
         }
     }
 
     #[test]
-    fn zero_tail_matches_full_transform_bitwise_under_both_schedules() {
-        // Exhaustive-ish sweep: every schedule × many (n, nonzero_len)
-        // pairs, including tails crossing the radix-8 base, the straddle
-        // group and whole-group skips, plus a negative-zero lane inside
-        // the live prefix (x + 0.0 must normalize it like the true add).
-        for schedule in [FhtSchedule::Ascending, FhtSchedule::CascadingHaar] {
-            for n in [2usize, 4, 8, 16, 64, 1024, 8192] {
-                for nz in [0usize, 1, 3, 5, n / 4 + 1, n / 2, 3 * n / 4, n - 1, n] {
-                    if nz > n {
-                        continue;
-                    }
-                    let mut live = pseudo_random(nz, (n + nz) as u64 + 7);
-                    if nz > 1 {
-                        live[nz / 2] = -0.0;
-                    }
-                    let mut full = padded(&live, n);
-                    fht_inplace_opts(&mut full, &FhtOpts::dense(schedule));
-                    let mut tail = padded(&live, n);
-                    let opts = FhtOpts {
-                        nonzero_len: nz,
-                        ..FhtOpts::dense(schedule)
-                    };
-                    fht_inplace_opts(&mut tail, &opts);
-                    let same = full
-                        .iter()
-                        .zip(tail.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "{schedule}, n = {n}, nz = {nz}");
+    fn zero_tail_matches_full_transform_bitwise() {
+        // Exhaustive-ish sweep over many (n, nonzero_len) pairs, including
+        // tails crossing the radix-8 base, the straddle group and
+        // whole-group skips, plus a negative-zero lane inside the live
+        // prefix (x + 0.0 must normalize it like the true add).
+        for n in [2usize, 4, 8, 16, 64, 1024, 8192] {
+            for nz in [0usize, 1, 3, 5, n / 4 + 1, n / 2, 3 * n / 4, n - 1, n] {
+                if nz > n {
+                    continue;
                 }
+                let mut live = pseudo_random(nz, (n + nz) as u64 + 7);
+                if nz > 1 {
+                    live[nz / 2] = -0.0;
+                }
+                let mut full = padded(&live, n);
+                fht_inplace(&mut full);
+                let mut tail = padded(&live, n);
+                let opts = FhtOpts {
+                    nonzero_len: nz,
+                    ..FhtOpts::dense(FhtSchedule::Ascending)
+                };
+                fht_inplace_opts(&mut tail, &opts);
+                let same = full
+                    .iter()
+                    .zip(tail.iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "n = {n}, nz = {nz}");
             }
         }
     }
 
     #[test]
     fn fused_signs_match_explicit_multiply_bitwise() {
-        for schedule in [FhtSchedule::Ascending, FhtSchedule::CascadingHaar] {
-            for n in [2usize, 4, 8, 64, 1024] {
-                let input = pseudo_random(n, 0x516 + n as u64);
-                let signs: Vec<f32> = (0..n)
-                    .map(|i| if (i * 7 + n) % 3 == 0 { -1.0 } else { 1.0 })
-                    .collect();
-                let mut explicit: Vec<f32> =
-                    input.iter().zip(&signs).map(|(&v, &s)| v * s).collect();
-                fht_inplace_opts(&mut explicit, &FhtOpts::dense(schedule));
-                let mut fused = input;
-                let opts = FhtOpts {
-                    first_stage_signs: Some(&signs),
-                    ..FhtOpts::dense(schedule)
-                };
-                fht_inplace_opts(&mut fused, &opts);
-                assert_eq!(explicit, fused, "{schedule}, n = {n}");
-            }
+        for n in [2usize, 4, 8, 16, 64, 1024] {
+            let input = pseudo_random(n, 0x516 + n as u64);
+            let signs: Vec<f32> = (0..n)
+                .map(|i| if (i * 7 + n) % 3 == 0 { -1.0 } else { 1.0 })
+                .collect();
+            let mut explicit: Vec<f32> = input.iter().zip(&signs).map(|(&v, &s)| v * s).collect();
+            fht_inplace(&mut explicit);
+            let mut fused = input;
+            let opts = FhtOpts {
+                first_stage_signs: Some(&signs),
+                ..FhtOpts::dense(FhtSchedule::Ascending)
+            };
+            fht_inplace_opts(&mut fused, &opts);
+            assert_eq!(explicit, fused, "n = {n}");
         }
     }
 
@@ -1177,15 +969,5 @@ mod tests {
         // degenerates to full and the dense fast path runs instead.
         let scattered = FhtPrunePlan::from_live(64, |lane| !matches!(lane % 16, 3 | 4));
         assert!(scattered.is_full());
-    }
-
-    #[test]
-    fn schedule_knob_parses_and_displays() {
-        assert_eq!("ascending".parse(), Ok(FhtSchedule::Ascending));
-        assert_eq!("cascading-haar".parse(), Ok(FhtSchedule::CascadingHaar));
-        assert_eq!("HAAR".parse(), Ok(FhtSchedule::CascadingHaar));
-        assert!("sideways".parse::<FhtSchedule>().is_err());
-        assert_eq!(FhtSchedule::CascadingHaar.to_string(), "cascading-haar");
-        assert_eq!(FhtSchedule::default(), FhtSchedule::Ascending);
     }
 }

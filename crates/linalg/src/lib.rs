@@ -37,6 +37,7 @@ mod codepack;
 mod epilogue;
 mod error;
 mod fht;
+mod isa;
 mod matrix;
 pub mod parallel;
 mod random;

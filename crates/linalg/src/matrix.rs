@@ -1,7 +1,8 @@
 use crate::error::ShapeError;
+#[cfg(target_arch = "x86_64")]
+use crate::isa::Isa;
 use crate::parallel;
 use crate::vector;
-use std::sync::OnceLock;
 
 /// Register-block height of the GEMM micro-kernel: four output rows share
 /// one streamed pass over each `rhs` cache line, quartering the memory
@@ -894,34 +895,27 @@ enum KernelTier {
     Avx2,
 }
 
-/// Resolves the micro-kernel tier once per process.
+/// The micro-kernel tier for this host.
 ///
-/// x86_64 with runtime AVX2+FMA gets the `std::arch` kernel; targets whose
-/// build enables hardware FMA (e.g. `target-cpu=native` on any modern
-/// x86_64, or aarch64) get the `mul_add` kernel; everything else keeps the
-/// portable mul-then-add kernel, whose results match `matmul_reference` bit
-/// for bit.
+/// x86_64 with runtime AVX2+FMA ([`Isa::detected`]) gets the `std::arch`
+/// kernel; targets whose build enables hardware FMA (e.g.
+/// `target-cpu=native` on any modern x86_64, or aarch64) get the `mul_add`
+/// kernel; everything else keeps the portable mul-then-add kernel, whose
+/// results match `matmul_reference` bit for bit.
 fn kernel_tier() -> KernelTier {
-    static TIER: OnceLock<KernelTier> = OnceLock::new();
-    *TIER.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return KernelTier::Avx2;
-            }
-        }
-        // `target_feature = "fma"` is x86 naming; aarch64 spells its fused
-        // multiply-add `neon` and has had it in the base ISA since ARMv8,
-        // so the tier is unconditionally correct (and fast) there.
-        #[cfg(any(target_feature = "fma", target_arch = "aarch64"))]
-        {
-            return KernelTier::Fma;
-        }
-        #[allow(unreachable_code)]
-        KernelTier::Portable
-    })
+    #[cfg(target_arch = "x86_64")]
+    if Isa::detected() == Isa::Avx2Fma {
+        return KernelTier::Avx2;
+    }
+    // `target_feature = "fma"` is x86 naming; aarch64 spells its fused
+    // multiply-add `neon` and has had it in the base ISA since ARMv8, so
+    // the tier is unconditionally correct (and fast) there.
+    #[cfg(any(target_feature = "fma", target_arch = "aarch64"))]
+    {
+        return KernelTier::Fma;
+    }
+    #[allow(unreachable_code)]
+    KernelTier::Portable
 }
 
 /// [`GEMM_MR`]-row accumulator tile over one packed panel: the original
@@ -1403,9 +1397,7 @@ mod tests {
         // Both tiers fuse each multiply-add into one rounding in the same
         // ascending-k order, so runtime AVX2 detection must never change
         // results.  Skipped (trivially passes) on machines without AVX2.
-        if !(std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma"))
-        {
+        if Isa::detected() != Isa::Avx2Fma {
             return;
         }
         for &(m, k, n) in PARITY_SHAPES {

@@ -54,6 +54,26 @@ pub enum TaskResponse {
     Anomaly(AnomalyVerdict),
 }
 
+/// Serving admission check, shared by [`ServeEngine::submit_task`] and
+/// the live server's submit path: a query must have the model's arity and
+/// only finite features.  Rejecting it here keeps it out of every batch,
+/// so it can neither disturb a batchmate nor be answered from NaN scores.
+pub(crate) fn validate_query(features: &[f32], feature_dim: usize) -> Result<(), ModelError> {
+    if features.len() != feature_dim {
+        return Err(ModelError::Incompatible(format!(
+            "query has {} features, model expects {feature_dim}",
+            features.len()
+        )));
+    }
+    match features.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(ModelError::Incompatible(format!(
+            "query feature {i} is {}; features must be finite",
+            features[i]
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Scores one coalesced batch of mixed-task queries against `model`.
 ///
 /// The rows are split by task kind and each sub-batch runs the matching
@@ -344,9 +364,10 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Incompatible`] for a wrong-arity query
-    /// (rejected up front, so a malformed request cannot poison the batch
-    /// it would have joined), or any error from an automatic flush.
+    /// Returns [`ModelError::Incompatible`] for a wrong-arity query or one
+    /// with a NaN or infinite feature (rejected up front, so a malformed
+    /// request cannot poison the batch it would have joined), or any error
+    /// from an automatic flush.
     pub fn submit(&mut self, features: &[f32]) -> Result<Ticket, ModelError> {
         self.submit_task(features, TaskKind::Classify)
     }
@@ -362,13 +383,7 @@ impl ServeEngine {
     ///
     /// See [`ServeEngine::submit`].
     pub fn submit_task(&mut self, features: &[f32], kind: TaskKind) -> Result<Ticket, ModelError> {
-        if features.len() != self.feature_dim() {
-            return Err(ModelError::Incompatible(format!(
-                "query has {} features, model expects {}",
-                features.len(),
-                self.feature_dim()
-            )));
-        }
+        validate_query(features, self.feature_dim())?;
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
         self.pending.push((ticket, kind, features.to_vec()));

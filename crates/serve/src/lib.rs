@@ -133,6 +133,7 @@ pub mod testkit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disthd_eval::ModelError;
     use disthd_hd::quantize::{BitWidth, QuantizedMatrix};
     use disthd_linalg::Matrix;
 
@@ -260,20 +261,105 @@ mod tests {
         assert!(!engine.score_anomaly_one(&q).unwrap().anomalous);
     }
 
+    /// Every non-finite value a feature can hold.
+    const NON_FINITE: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+
+    /// Asserts `err` is the admission rejection naming feature `index`.
+    fn assert_names_feature(err: &ModelError, index: usize, value: f32) {
+        let ModelError::Incompatible(message) = err else {
+            panic!("{value}: expected an admission rejection, got {err:?}");
+        };
+        let named = format!("feature {index} is {value}");
+        assert!(
+            message.contains(&named),
+            "{message:?} should name {named:?}"
+        );
+    }
+
     #[test]
     fn non_finite_anomaly_scores_fail_closed() {
         // A NaN feature poisons every projection, so the query's best
-        // cosine cannot be trusted; both pipelines must flag it rather
-        // than certify it as an inlier, with or without a threshold.
+        // cosine cannot be trusted.  Admission refuses it outright; below
+        // admission, both pipelines still score it non-finite — which the
+        // verdict always flags — rather than certify it as an inlier, with
+        // or without a threshold.
         let mut q = testkit::tiny_queries(1).remove(0);
         q[0] = f32::NAN;
+        let solo = Matrix::from_row_slices(q.len(), &[&q]).unwrap();
         for deployment in [tasked_deployment(2, 0.5), testkit::tiny_deployment()] {
             for integer in [false, true] {
                 let mut engine = ServeEngine::new(deployment.clone(), BatchPolicy::window(4))
                     .with_integer_pipeline(integer);
-                let verdict = engine.score_anomaly_one(&q).unwrap();
-                assert!(verdict.anomalous, "integer {integer}: {verdict:?}");
+                let err = engine.score_anomaly_one(&q).unwrap_err();
+                assert_names_feature(&err, 0, f32::NAN);
             }
+            let f32_score = deployment.anomaly_scores(&solo).unwrap()[0];
+            let int_score = deployment.anomaly_scores_quantized(&solo).unwrap()[0];
+            assert!(!f32_score.is_finite(), "f32 pipeline scored {f32_score}");
+            assert!(
+                !int_score.is_finite(),
+                "integer pipeline scored {int_score}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_at_admission() {
+        // A NaN or infinite feature is refused with an error naming it
+        // before it joins a batch; the batchmate queued beside it still
+        // gets its serial answer, on both scoring pipelines.
+        let deployment = testkit::tiny_deployment();
+        let queries = testkit::tiny_queries(2);
+        for integer in [false, true] {
+            let serial = ServeEngine::new(deployment.clone(), BatchPolicy::window(1))
+                .with_integer_pipeline(integer)
+                .predict_one(&queries[0])
+                .unwrap();
+            for bad in NON_FINITE {
+                let mut engine = ServeEngine::new(deployment.clone(), BatchPolicy::window(4))
+                    .with_integer_pipeline(integer);
+                let mate = engine.submit(&queries[0]).unwrap();
+                let mut poisoned = queries[1].clone();
+                poisoned[3] = bad;
+                assert_names_feature(&engine.submit(&poisoned).unwrap_err(), 3, bad);
+                assert_eq!(engine.pending_len(), 1, "a rejected query must not queue");
+                engine.flush().unwrap();
+                assert_eq!(
+                    engine.try_take(mate),
+                    Some(serial),
+                    "integer {integer}, {bad}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn server_rejects_non_finite_features_at_admission() {
+        let deployment = testkit::tiny_deployment();
+        let queries = testkit::tiny_queries(2);
+        for integer in [false, true] {
+            let serial = ServeEngine::new(deployment.clone(), BatchPolicy::window(1))
+                .with_integer_pipeline(integer)
+                .predict_one(&queries[0])
+                .unwrap();
+            let options = ServerOptions {
+                shards: 1,
+                integer_pipeline: integer,
+                ..ServerOptions::default()
+            };
+            let server = Server::spawn_with(deployment.clone(), BatchPolicy::window(8), options);
+            let client = server.client();
+            for bad in NON_FINITE {
+                let mate = client.submit(&queries[0]).unwrap();
+                let mut poisoned = queries[1].clone();
+                poisoned[3] = bad;
+                match client.submit(&poisoned) {
+                    Err(ServeError::Model(err)) => assert_names_feature(&err, 3, bad),
+                    other => panic!("{bad}: expected a model error, got {other:?}"),
+                }
+                assert_eq!(mate.wait().unwrap(), serial, "integer {integer}, {bad}");
+            }
+            assert_eq!(server.shutdown().unwrap().served, 3);
         }
     }
 

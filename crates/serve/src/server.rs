@@ -29,7 +29,9 @@
 //! the client has already abandoned.
 
 use crate::chaos::ChaosPlan;
-use crate::engine::{score_task_batch, AnomalyVerdict, BatchPolicy, TaskKind, TaskResponse};
+use crate::engine::{
+    score_task_batch, validate_query, AnomalyVerdict, BatchPolicy, TaskKind, TaskResponse,
+};
 use crate::publish::PublishedModel;
 use disthd::DeployedModel;
 use disthd_eval::ModelError;
@@ -511,7 +513,8 @@ impl ServerClient {
     ///
     /// # Errors
     ///
-    /// * [`ServeError::Model`] if the query is malformed;
+    /// * [`ServeError::Model`] if the query has the wrong arity or a NaN
+    ///   or infinite feature;
     /// * [`ServeError::Overloaded`] if the target shard's queue is full;
     /// * [`ServeError::DeadlineExceeded`] if the deadline is already zero
     ///   at submission;
@@ -526,13 +529,7 @@ impl ServerClient {
         if shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::Disconnected);
         }
-        if features.len() != shared.feature_dim {
-            return Err(ServeError::Model(ModelError::Incompatible(format!(
-                "query has {} features, model expects {}",
-                features.len(),
-                shared.feature_dim
-            ))));
-        }
+        validate_query(features, shared.feature_dim).map_err(ServeError::Model)?;
         if options.deadline.is_some_and(|d| d.is_zero()) {
             shared.deadline_shed.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::DeadlineExceeded);

@@ -3,7 +3,7 @@
 
 use disthd_hd::encoder::{Encoder, RbfEncoder, RegenerativeEncoder, StructuredRbfEncoder};
 use disthd_hd::quantize::{BitWidth, QuantizedMatrix};
-use disthd_hd::{BinaryHypervector, BipolarHypervector, ClassModel};
+use disthd_hd::ClassModel;
 use disthd_linalg::{fht_inplace, fht_inplace_opts, parallel, FhtOpts, FhtPrunePlan, FhtSchedule};
 use disthd_linalg::{Matrix, RngSeed, SeededRng};
 use proptest::prelude::*;
@@ -103,32 +103,6 @@ proptest! {
         let serial = parallel::with_thread_count(1, || a.matmul(&b).expect("matmul"));
         let threaded = parallel::with_thread_count(threads, || a.matmul(&b).expect("matmul"));
         prop_assert_eq!(serial.as_slice(), threaded.as_slice());
-    }
-
-    /// Bipolar binding is self-inverse: (a * b) * b == a.
-    #[test]
-    fn bipolar_binding_inverts(seed in 0u64..1000) {
-        let mut rng = SeededRng::new(RngSeed(seed));
-        let a = BipolarHypervector::random(256, &mut rng);
-        let b = BipolarHypervector::random(256, &mut rng);
-        prop_assert_eq!(a.bound(&b).bound(&b), a);
-    }
-
-    /// Hamming distance is a metric: symmetric, zero iff equal, and obeys
-    /// the triangle inequality.
-    #[test]
-    fn hamming_is_a_metric(seed in 0u64..1000) {
-        let mut rng = SeededRng::new(RngSeed(seed));
-        let mk = |rng: &mut SeededRng| {
-            BinaryHypervector::from_bits((0..128).map(|_| rng.next_bool(0.5)))
-        };
-        let a = mk(&mut rng);
-        let b = mk(&mut rng);
-        let c = mk(&mut rng);
-        let d = disthd_hd::hamming_distance;
-        prop_assert_eq!(d(&a, &b), d(&b, &a));
-        prop_assert_eq!(d(&a, &a), 0);
-        prop_assert!(d(&a, &c) <= d(&a, &b) + d(&b, &c));
     }
 
     /// 8-bit quantization reconstructs within one quantization step of the
@@ -237,31 +211,29 @@ proptest! {
         }
     }
 
-    /// The zero-aware front end is bitwise invisible under both schedules:
-    /// transforming a zero-padded buffer with the skip paths equals
-    /// transforming it in full.
+    /// The zero-aware front end is bitwise invisible: transforming a
+    /// zero-padded buffer with the skip paths equals transforming it in
+    /// full.
     #[test]
     fn zero_tail_fht_matches_full_bitwise(
         exp in 1u32..13,
         seed in 0u64..1000,
-        haar in 0u32..2,
         nz_frac in 1u32..101,
     ) {
         let n = 1usize << exp;
         let nz = ((n as u64 * u64::from(nz_frac)).div_ceil(100) as usize).max(1);
-        let schedule = if haar == 1 { FhtSchedule::CascadingHaar } else { FhtSchedule::Ascending };
         let mut rng = SeededRng::new(RngSeed(seed));
         let mut padded = vec![0.0f32; n];
         for v in &mut padded[..nz] {
             *v = rng.next_unit() - 0.5;
         }
         let mut full = padded.clone();
-        fht_inplace_opts(&mut full, &FhtOpts::dense(schedule));
+        fht_inplace(&mut full);
         let mut aware = padded;
-        let opts = FhtOpts { nonzero_len: nz, ..FhtOpts::dense(schedule) };
+        let opts = FhtOpts { nonzero_len: nz, ..FhtOpts::dense(FhtSchedule::Ascending) };
         fht_inplace_opts(&mut aware, &opts);
         let same = full.iter().zip(&aware).all(|(a, b)| a.to_bits() == b.to_bits());
-        prop_assert!(same, "{} n {} nz {}", schedule, n, nz);
+        prop_assert!(same, "n {} nz {}", n, nz);
     }
 
     /// Structured batch encodes are bit-identical across thread counts

@@ -893,14 +893,13 @@ fn main() {
             .all(|(response, &want)| {
                 matches!(response, TaskResponse::Ranked(ranks) if ranks.first() == Some(&want))
             });
-    let direct_anomaly_scores = tasked.anomaly_scores(&queries).expect("anomaly scores");
-    let anomaly_scores_match_direct =
-        anomaly_responses
-            .iter()
-            .zip(&direct_anomaly_scores)
-            .all(|(response, want)| {
-                matches!(response, TaskResponse::Anomaly(v) if v.score.to_bits() == want.to_bits())
-            });
+    let direct = tasked
+        .scores(&queries, disthd::Precision::F32Query)
+        .expect("anomaly scores");
+    let anomaly_scores_match_direct = anomaly_responses.iter().enumerate().all(|(r, response)| {
+        let want = direct.anomaly(r).to_bits();
+        matches!(response, TaskResponse::Anomaly(v) if v.score.to_bits() == want)
+    });
     let topk_fnv1a = fnv1a_words(topk_responses.iter().flat_map(|response| {
         let ranks: Vec<u64> = match response {
             TaskResponse::Ranked(ranks) => ranks.iter().map(|&c| c as u64).collect(),

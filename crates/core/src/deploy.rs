@@ -15,17 +15,11 @@
 //! those very words — a faulted deployment behaves like the faulted device
 //! would, with out-of-range codes saturating as on hardware.
 //!
-//! Batched scoring decodes the codes straight into the GEMM's packed-panel
-//! layout and runs the full 4×16 register-tiled similarity micro-kernel
-//! ([`disthd_hd::quantized_similarity_matrix`]): the decode streams the
-//! class memory at its packed width (4× fewer source bytes than the f32
-//! snapshot's per-call pack had to copy) and the panel is written
-//! immediately before the GEMM reads it back out of cache, which is what
-//! finally puts the integer path ahead of the old dequantize-into-a-
-//! snapshot pipeline at every batch size.  Single queries stream the
-//! packed words through a 1 KiB decode segment
-//! ([`disthd_hd::quantized_similarity_to_all`]) in the GEMM's per-element
-//! accumulation order, scoring bit-identically to the batched kernel.
+//! [`DeployedModel::scores`] encodes and scores a batch once at either
+//! [`Precision`]; classify, top-k and anomaly scoring only read that pass
+//! ([`Scores`]).  Single queries stream the packed words through
+//! [`disthd_hd::quantized_similarity_to_all`] in the batched GEMM's
+//! per-element accumulation order, scoring bit-identically to it.
 
 use crate::trainer::DistHd;
 use disthd_eval::ModelError;
@@ -33,11 +27,9 @@ use disthd_hd::center::EncodingCenter;
 use disthd_hd::encoder::{AnyRbfEncoder, Encoder};
 use disthd_hd::noise::flip_random_bits;
 use disthd_hd::quantize::{BitWidth, QuantizedMatrix};
-use disthd_hd::{
-    packed_cosine_matrix, packed_predict_batch, quantized_similarity_matrix,
-    quantized_similarity_to_all,
-};
+use disthd_hd::{packed_dot_matrix, quantized_similarity_matrix, quantized_similarity_to_all};
 use disthd_linalg::{Matrix, SeededRng};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Optional serving-task configuration carried by a deployment.
@@ -157,30 +149,24 @@ impl DeployedModel {
     /// Returns a shape error for a wrong-length input.
     pub fn predict(&self, features: &[f32]) -> Result<usize, ModelError> {
         let scores = self.decision_scores(features)?;
-        Ok(argmax(&scores))
+        Ok(argmax(scores))
     }
 
-    /// Classifies a whole batch of feature vectors (one per row) through
-    /// the fused encode GEMM and one batched integer-similarity pass over
-    /// the packed class words.
-    ///
-    /// This is the entry point the serving layer's request-batching engine
-    /// coalesces queries into: per query it costs a slice of one large
-    /// matrix product plus a packed-word similarity scan instead of a full
-    /// streaming pass over the base and class matrices, which is where
-    /// batched serving's throughput advantage comes from.  Because every
-    /// row is computed independently by the deterministic backend, a
-    /// query's prediction is bit-identical whether it is served alone or
-    /// inside any batch.
+    /// Encodes and scores a batch (one query per row) in **one pass**: the
+    /// similarity of eq. 1 that classify, top-k and anomaly scoring all
+    /// read.  This is the only place a deployment encodes and scores a
+    /// batch; the per-task batch APIs and the serving layer post-process
+    /// the returned [`Scores`].  Rows are computed independently by the
+    /// deterministic backend, so a row's answers are bit-identical alone
+    /// or in any batch.
     ///
     /// # Example
     ///
     /// ```
-    /// use disthd::{DeployedModel, DistHd, DistHdConfig};
+    /// use disthd::{DeployedModel, DistHd, DistHdConfig, Precision};
     /// use disthd_datasets::suite::{PaperDataset, SuiteConfig};
     /// use disthd_eval::Classifier;
     /// use disthd_hd::quantize::BitWidth;
-    /// use disthd_linalg::Matrix;
     ///
     /// let data = PaperDataset::Diabetes.generate(&SuiteConfig::at_scale(0.001))?;
     /// let mut model = DistHd::new(
@@ -190,80 +176,93 @@ impl DeployedModel {
     /// );
     /// model.fit(&data.train, None)?;
     /// let deployed = DeployedModel::freeze(&model, BitWidth::B8)?;
-    /// let queries = Matrix::from_row_slices(
-    ///     data.test.feature_dim(),
-    ///     &[data.test.sample(0), data.test.sample(1)],
-    /// )?;
-    /// let batched = deployed.predict_batch(&queries)?;
-    /// // A batch of one is the same computation, so predictions agree.
-    /// let solo = deployed.predict_batch(&queries.select_rows(&[0]))?;
-    /// assert_eq!(batched[0], solo[0]);
+    /// let queries = data.test.features().select_rows(&[0, 1]);
+    /// let scores = deployed.scores(&queries, Precision::Integer)?;
+    /// // The best-ranked class is the classify answer.
+    /// assert_eq!(scores.top_k(1, 2)?[0], scores.class(1));
+    /// // A batch of one is the same computation, so the answers agree.
+    /// let solo_queries = queries.select_rows(&[1]);
+    /// let solo = deployed.scores(&solo_queries, Precision::Integer)?;
+    /// assert_eq!(solo.class(0), scores.class(1));
+    /// assert_eq!(solo.anomaly(0).to_bits(), scores.anomaly(1).to_bits());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
     /// # Errors
     ///
     /// Returns a shape error if `queries.cols()` differs from the
-    /// encoder's input arity.
-    pub fn predict_batch(&self, queries: &Matrix) -> Result<Vec<usize>, ModelError> {
-        if queries.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        let mut encoded = self.encoder.encode_batch(queries)?;
-        self.center.apply_batch(&mut encoded);
-        self.predict_encoded_batch(&encoded)
+    /// encoder's input arity (an empty batch is accepted at any arity).
+    pub fn scores(&self, queries: &Matrix, precision: Precision) -> Result<Scores<'_>, ModelError> {
+        let (scores, norms) = match precision {
+            // Nothing to encode; no row accessor can be reached.
+            _ if queries.rows() == 0 => (
+                Matrix::zeros(0, self.class_count),
+                QueryNorms::Encoded(Matrix::zeros(0, 0)),
+            ),
+            Precision::F32Query => {
+                let mut encoded = self.encoder.encode_batch(queries)?;
+                self.center.apply_batch(&mut encoded);
+                let sims = quantized_similarity_matrix(&encoded, &self.memory, &self.inv_norms)?;
+                (sims, QueryNorms::Encoded(encoded))
+            }
+            Precision::Integer => {
+                let codes = self.encoder.encode_batch_quantized(
+                    queries,
+                    Some(self.center.means()),
+                    self.memory.width(),
+                )?;
+                let finite = queries
+                    .iter_rows()
+                    .map(|row| row.iter().all(|x| x.is_finite()))
+                    .collect();
+                let dots = packed_dot_matrix(&codes, &self.memory)?;
+                (dots, QueryNorms::Codes(codes, finite))
+            }
+        };
+        Ok(Scores {
+            scores,
+            norms,
+            class_inv_norms: &self.inv_norms,
+        })
     }
 
-    /// Classifies a whole batch through the **end-to-end integer
-    /// dataflow**: the fused bit-sliced encode quantizes each encoded,
-    /// centered query row straight into packed words at the class memory's
-    /// width (no intermediate f32 hypervector matrix), and scoring runs
-    /// entirely on packed integers — XOR+popcount at 1 bit, widening
-    /// i2/i4/i8 dot products otherwise.  After featurization the hot loop
-    /// performs **zero f32 similarity work and zero `dequantize()` calls**;
-    /// the only float arithmetic left is the scalar `dot × inv_norm`
-    /// scaling of each integer dot.
-    ///
-    /// Compared to [`DeployedModel::predict_batch`] the query side is
-    /// quantized too, so predictions can differ where query-quantization
-    /// error flips a near-tie; the serving benchmark records the agreement
-    /// rate per width.
+    /// The classify answer for every row of [`DeployedModel::scores`] at
+    /// [`Precision::F32Query`].  Kept because the repository benchmark
+    /// names it.
     ///
     /// # Errors
     ///
-    /// Returns a shape error if `queries.cols()` differs from the
-    /// encoder's input arity.
+    /// See [`DeployedModel::scores`].
+    pub fn predict_batch(&self, queries: &Matrix) -> Result<Vec<usize>, ModelError> {
+        let scores = self.scores(queries, Precision::F32Query)?;
+        Ok((0..scores.len()).map(|r| scores.class(r)).collect())
+    }
+
+    /// The classify answer for every row of [`DeployedModel::scores`] at
+    /// [`Precision::Integer`].  Kept because the repository benchmark
+    /// names it.
+    ///
+    /// # Errors
+    ///
+    /// See [`DeployedModel::scores`].
     pub fn predict_quantized_batch(&self, queries: &Matrix) -> Result<Vec<usize>, ModelError> {
-        if queries.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        let encoded = self.encoder.encode_batch_quantized(
-            queries,
-            Some(self.center.means()),
-            self.memory.width(),
-        )?;
-        Ok(packed_predict_batch(
-            &encoded,
-            &self.memory,
-            &self.inv_norms,
-        )?)
+        let scores = self.scores(queries, Precision::Integer)?;
+        Ok((0..scores.len()).map(|r| scores.class(r)).collect())
     }
 
     /// Classifies a batch of **already encoded and centered** hypervectors
-    /// (one per row) through the amortized integer scoring GEMM.
-    ///
-    /// This is the class-scoring stage of [`DeployedModel::predict_batch`]
-    /// in isolation — for callers that pre-encode once and score many
-    /// model variants (the Fig. 8 robustness harness) or benchmark the
-    /// scoring stage without the shared encode cost.
+    /// (one per row): the class-scoring stage of
+    /// [`Precision::F32Query`] in isolation, for callers that pre-encode
+    /// once and score many model variants (the Fig. 8 robustness harness).
+    /// Kept because the repository benchmark names it.
     ///
     /// # Errors
     ///
     /// Returns a shape error if `encoded.cols()` differs from the class
     /// memory's dimensionality.
     pub fn predict_encoded_batch(&self, encoded: &Matrix) -> Result<Vec<usize>, ModelError> {
-        let scores = quantized_similarity_matrix(encoded, &self.memory, &self.inv_norms)?;
-        Ok(scores.iter_rows().map(argmax).collect())
+        let sims = quantized_similarity_matrix(encoded, &self.memory, &self.inv_norms)?;
+        Ok(sims.iter_rows().map(argmax).collect())
     }
 
     /// Hot-swaps the quantized class memory, e.g. with a freshly
@@ -431,137 +430,41 @@ impl DeployedModel {
         Ok(())
     }
 
-    /// The `k` most similar classes per query row, best first — the top-k
-    /// multi-label serving task on the batched GEMM path.
-    ///
-    /// The scores are the same `samples × classes` similarity matrix the
-    /// classify path ranks ([`disthd_hd::quantized_similarity_matrix`]),
-    /// so `result[r][0]` always equals [`DeployedModel::predict_batch`]'s
-    /// answer for row `r` (ties resolve to the lower class index in both),
-    /// and every row is computed independently — a query's ranking is
-    /// bit-identical in any batch.  `k` is clamped to the class count.
+    /// The `k` best-ranked classes per row of [`DeployedModel::scores`] at
+    /// [`Precision::Integer`].  Kept because the repository benchmark
+    /// names it.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Incompatible`] for `k = 0`, or a shape error
-    /// if `queries.cols()` differs from the encoder's input arity.
-    pub fn top_k_batch(&self, queries: &Matrix, k: usize) -> Result<Vec<Vec<usize>>, ModelError> {
-        if k == 0 {
-            return Err(ModelError::Incompatible("top-k of 0 ranks nothing".into()));
-        }
-        if queries.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        let mut encoded = self.encoder.encode_batch(queries)?;
-        self.center.apply_batch(&mut encoded);
-        let scores = quantized_similarity_matrix(&encoded, &self.memory, &self.inv_norms)?;
-        Ok(scores
-            .iter_rows()
-            .map(|row| disthd_linalg::top_k_largest(row, k))
-            .collect())
-    }
-
-    /// [`DeployedModel::top_k_batch`] on the **end-to-end integer
-    /// pipeline**: queries are quantized by the fused encode and ranked by
-    /// packed integer cosines ([`disthd_hd::packed_cosine_matrix`]) — the
-    /// per-query norm the argmax-only predictor skips is applied here, so
-    /// the scores backing the ranking are true cosines (shared with the
-    /// anomaly scorer; one kernel serves both tasks).
-    ///
-    /// # Errors
-    ///
-    /// See [`DeployedModel::top_k_batch`].
+    /// See [`DeployedModel::scores`] and [`Scores::top_k`].
     pub fn top_k_quantized_batch(
         &self,
         queries: &Matrix,
         k: usize,
     ) -> Result<Vec<Vec<usize>>, ModelError> {
-        if k == 0 {
-            return Err(ModelError::Incompatible("top-k of 0 ranks nothing".into()));
-        }
-        if queries.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        let scores = self.quantized_cosines(queries)?;
-        Ok(scores
-            .iter_rows()
-            .map(|row| disthd_linalg::top_k_largest(row, k))
-            .collect())
+        let scores = self.scores(queries, Precision::Integer)?;
+        (0..scores.len()).map(|r| scores.top_k(r, k)).collect()
     }
 
-    /// One-class anomaly scores: each query row's **best class cosine** in
-    /// `[-1, 1]`.  An inlier resembles some class and scores high; a query
-    /// from outside the training distribution resembles none and scores
-    /// low.  Unlike the classify/top-k rankings, these values are compared
-    /// **across queries** (against a threshold), so the per-query norm the
-    /// ranking paths may drop is applied here: the classify scores are
-    /// divided by the encoded query's L2 norm, making them genuine
-    /// cosines.  Rows are scored independently — batch-composition
-    /// invariant like every serving path.
+    /// The anomaly score of every row of [`DeployedModel::scores`] at
+    /// [`Precision::Integer`].  Kept because the repository benchmark
+    /// names it.
     ///
     /// # Errors
     ///
-    /// Returns a shape error if `queries.cols()` differs from the
-    /// encoder's input arity.
-    pub fn anomaly_scores(&self, queries: &Matrix) -> Result<Vec<f32>, ModelError> {
-        if queries.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        let mut encoded = self.encoder.encode_batch(queries)?;
-        self.center.apply_batch(&mut encoded);
-        let scores = quantized_similarity_matrix(&encoded, &self.memory, &self.inv_norms)?;
-        Ok(scores
-            .iter_rows()
-            .enumerate()
-            .map(|(r, row)| {
-                let norm = disthd_linalg::l2_norm(encoded.row(r));
-                if norm == 0.0 {
-                    0.0
-                } else {
-                    max_score(row) / norm
-                }
-            })
-            .collect())
-    }
-
-    /// [`DeployedModel::anomaly_scores`] on the **end-to-end integer
-    /// pipeline**: the fused encode quantizes each query and
-    /// [`disthd_hd::packed_cosine_matrix`] produces true integer-code
-    /// cosines (per-query *and* per-class norms applied), whose row
-    /// maximum is the anomaly score.
-    ///
-    /// A row with a non-finite feature scores NaN, as it does on the f32
-    /// path: quantization would otherwise turn its poisoned projections
-    /// into ordinary codes and report a plausible cosine.
-    ///
-    /// # Errors
-    ///
-    /// See [`DeployedModel::anomaly_scores`].
+    /// See [`DeployedModel::scores`].
     pub fn anomaly_scores_quantized(&self, queries: &Matrix) -> Result<Vec<f32>, ModelError> {
-        if queries.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        let scores = self.quantized_cosines(queries)?;
-        Ok(scores
-            .iter_rows()
-            .zip(queries.iter_rows())
-            .map(|(row, query)| {
-                if query.iter().all(|x| x.is_finite()) {
-                    max_score(row)
-                } else {
-                    f32::NAN
-                }
-            })
-            .collect())
+        let scores = self.scores(queries, Precision::Integer)?;
+        Ok((0..scores.len()).map(|r| scores.anomaly(r)).collect())
     }
 
     /// Calibrates the one-class anomaly threshold from labelled
     /// calibration batches: `inliers` should come from the training
     /// distribution, `outliers` from outside it.  Both are scored with
-    /// [`DeployedModel::anomaly_scores`], an ROC curve is swept over the
-    /// pooled scores (`disthd_eval::roc`) and the threshold maximizing
-    /// Youden's J (`tpr − fpr`) is stored in [`ServingTasks`] and
-    /// returned.  A query scoring **below** the threshold is anomalous.
+    /// [`Scores::anomaly`] at [`Precision::F32Query`], an ROC curve is swept
+    /// over the pooled scores (`disthd_eval::roc`) and the threshold
+    /// maximizing Youden's J (`tpr − fpr`) is stored in [`ServingTasks`]
+    /// and returned.  A query scoring **below** the threshold is anomalous.
     ///
     /// # Errors
     ///
@@ -578,9 +481,13 @@ impl DeployedModel {
                 "anomaly calibration needs at least one inlier and one outlier".into(),
             ));
         }
-        let mut scores = self.anomaly_scores(inliers)?;
+        let anomaly_of = |queries: &Matrix| -> Result<Vec<f32>, ModelError> {
+            let scores = self.scores(queries, Precision::F32Query)?;
+            Ok((0..scores.len()).map(|r| scores.anomaly(r)).collect())
+        };
+        let mut scores = anomaly_of(inliers)?;
         let mut labels = vec![true; scores.len()];
-        scores.extend(self.anomaly_scores(outliers)?);
+        scores.extend(anomaly_of(outliers)?);
         labels.resize(scores.len(), false);
         let curve = disthd_eval::roc_curve(&scores, &labels);
         let threshold = disthd_eval::youden_threshold(&curve).ok_or_else(|| {
@@ -590,21 +497,6 @@ impl DeployedModel {
         })?;
         self.tasks.anomaly_threshold = Some(threshold);
         Ok(threshold)
-    }
-
-    /// The integer-pipeline cosine matrix shared by the quantized top-k
-    /// and anomaly paths: fused quantizing encode, then packed cosines.
-    fn quantized_cosines(&self, queries: &Matrix) -> Result<Matrix, ModelError> {
-        let encoded = self.encoder.encode_batch_quantized(
-            queries,
-            Some(self.center.means()),
-            self.memory.width(),
-        )?;
-        Ok(packed_cosine_matrix(
-            &encoded,
-            &self.memory,
-            &self.inv_norms,
-        )?)
     }
 
     /// Flips `round(rate * memory_bits())` random bits of the stored class
@@ -618,6 +510,116 @@ impl DeployedModel {
     }
 }
 
+/// The scoring pipeline [`DeployedModel::scores`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Precision {
+    /// One f32 encode GEMM and centering, then one similarity GEMM against
+    /// the integer class codes ([`disthd_hd::quantized_similarity_matrix`]).
+    F32Query,
+    /// The end-to-end integer dataflow: the fused encode quantizes each
+    /// centered query to the class memory's width, then one pass of exact
+    /// integer dots ([`disthd_hd::packed_dot_matrix`]) — XOR+popcount at 1
+    /// bit, widening dots otherwise.  Answers can differ from `F32Query`
+    /// where query quantization flips a near-tie.
+    Integer,
+}
+
+/// A batch scored once by [`DeployedModel::scores`]; each serving task is
+/// post-processing of one row of it.  Ties resolve to the lower class
+/// index, and per-query norms are computed only by the tasks that read
+/// them, so classifying never pays for them.
+#[derive(Debug)]
+pub struct Scores<'a> {
+    /// `F32Query`: `dot(encoded, codes_l) · inv_norm[l]`; `Integer`: the
+    /// exact integer dots as `f32`.
+    scores: Matrix,
+    norms: QueryNorms,
+    class_inv_norms: &'a [f32],
+}
+
+/// What turns a score row into cosines.
+#[derive(Debug)]
+enum QueryNorms {
+    /// The centered f32 encodings.
+    Encoded(Matrix),
+    /// The query codes, and whether each query's features were all finite
+    /// (quantization would hide a poisoned one).
+    Codes(QuantizedMatrix, Vec<bool>),
+}
+
+impl Scores<'_> {
+    /// Number of scored rows.
+    pub fn len(&self) -> usize {
+        self.scores.rows()
+    }
+
+    /// Whether the batch had no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The classify answer of row `r`.  On the integer pipeline it ranks
+    /// `dot·inv_norm[l]`, not the cosine: the query norm cannot move the
+    /// argmax, but its extra multiply could round two scores into a tie.
+    pub fn class(&self, r: usize) -> usize {
+        let row = self.scores.row(r);
+        match self.norms {
+            QueryNorms::Encoded(_) => argmax(row),
+            QueryNorms::Codes(..) => argmax(
+                row.iter()
+                    .zip(self.class_inv_norms)
+                    .map(|(&d, &inv)| d * inv),
+            ),
+        }
+    }
+
+    /// The `k` best classes of row `r`, best first (`k` clamps to the
+    /// class count).  The integer pipeline ranks the cosines
+    /// `dot·q_inv·inv_norm[l]`; entry 0 is [`Scores::class`] on both.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Incompatible`] for `k = 0`.
+    pub fn top_k(&self, r: usize, k: usize) -> Result<Vec<usize>, ModelError> {
+        if k == 0 {
+            return Err(ModelError::Incompatible("top-k of 0 ranks nothing".into()));
+        }
+        Ok(match &self.norms {
+            QueryNorms::Encoded(_) => disthd_linalg::top_k_largest(self.scores.row(r), k),
+            QueryNorms::Codes(codes, _) => disthd_linalg::top_k_largest(&self.cosines(r, codes), k),
+        })
+    }
+
+    /// The one-class anomaly score of row `r`: its **best class cosine**
+    /// in `[-1, 1]`, compared across queries against a threshold, so the
+    /// per-query norm is applied (a zero-norm f32 encoding scores `0.0`).
+    /// A query with a non-finite feature scores NaN on both pipelines.
+    pub fn anomaly(&self, r: usize) -> f32 {
+        let row = self.scores.row(r);
+        match &self.norms {
+            QueryNorms::Encoded(encoded) => {
+                let norm = disthd_linalg::l2_norm(encoded.row(r));
+                if norm == 0.0 {
+                    0.0
+                } else {
+                    max_score(row) / norm
+                }
+            }
+            QueryNorms::Codes(codes, finite) if finite[r] => max_score(&self.cosines(r, codes)),
+            QueryNorms::Codes(..) => f32::NAN,
+        }
+    }
+
+    /// Integer cosines of row `r`: `dot·q_inv·inv_norm[l]`, the multiply
+    /// order of [`disthd_hd::packed_cosine_matrix`].
+    fn cosines(&self, r: usize, codes: &QuantizedMatrix) -> Vec<f32> {
+        let q_inv = codes.code_inv_norm(r);
+        let row = self.scores.row(r).iter().zip(self.class_inv_norms);
+        row.map(|(&dot, &inv_norm)| dot * q_inv * inv_norm)
+            .collect()
+    }
+}
+
 /// Greatest score of a non-empty row (the anomaly scorer's "best class").
 fn max_score(scores: &[f32]) -> f32 {
     scores[argmax(scores)]
@@ -625,11 +627,15 @@ fn max_score(scores: &[f32]) -> f32 {
 
 /// Index of the strictly greatest score (ties resolve to the lower class
 /// index, matching `ClassModel`'s argmax convention).
-fn argmax(scores: &[f32]) -> usize {
-    let mut best = 0;
-    for i in 1..scores.len() {
-        if scores[i] > scores[best] {
+fn argmax<S: Borrow<f32>>(scores: impl IntoIterator<Item = S>) -> usize {
+    let mut scores = scores.into_iter().map(|s| *s.borrow()).enumerate();
+    let Some((mut best, mut best_score)) = scores.next() else {
+        return 0;
+    };
+    for (i, score) in scores {
+        if score > best_score {
             best = i;
+            best_score = score;
         }
     }
     best
@@ -916,6 +922,22 @@ mod tests {
         ));
     }
 
+    /// Every row's f32-pipeline ranking, read off one scoring pass.
+    fn f32_rankings(
+        model: &DeployedModel,
+        q: &Matrix,
+        k: usize,
+    ) -> Result<Vec<Vec<usize>>, ModelError> {
+        let scores = model.scores(q, Precision::F32Query)?;
+        (0..scores.len()).map(|r| scores.top_k(r, k)).collect()
+    }
+
+    /// Every row's f32-pipeline anomaly score, read off one scoring pass.
+    fn f32_anomaly(deployed: &DeployedModel, queries: &Matrix) -> Result<Vec<f32>, ModelError> {
+        let scores = deployed.scores(queries, Precision::F32Query)?;
+        Ok((0..scores.len()).map(|r| scores.anomaly(r)).collect())
+    }
+
     #[test]
     fn top_k_first_choice_matches_the_classify_path_on_both_pipelines() {
         // Top-k is post-processing of the very scores classify ranks, so
@@ -928,7 +950,7 @@ mod tests {
         for width in [BitWidth::B8, BitWidth::B1] {
             let deployed = DeployedModel::freeze(&model, width).unwrap();
             let k = deployed.class_count();
-            let ranked = deployed.top_k_batch(&queries, 2).unwrap();
+            let ranked = f32_rankings(&deployed, &queries, 2).unwrap();
             let classes = deployed.predict_batch(&queries).unwrap();
             for (r, ranks) in ranked.iter().enumerate() {
                 assert_eq!(ranks.len(), 2, "{width}, row {r}");
@@ -940,19 +962,67 @@ mod tests {
                 assert_eq!(ranks[0], int_classes[r], "{width}, integer row {r}");
             }
             // k beyond the class count clamps to a full ranking.
-            let full = deployed.top_k_batch(&queries, k + 10).unwrap();
+            let full = f32_rankings(&deployed, &queries, k + 10).unwrap();
             assert!(full.iter().all(|ranks| ranks.len() == k));
             // Rankings are batch-composition invariant.
-            let solo = deployed.top_k_batch(&queries.select_rows(&[3]), 2).unwrap();
+            let solo = f32_rankings(&deployed, &queries.select_rows(&[3]), 2).unwrap();
             assert_eq!(solo[0], ranked[3], "{width}: solo vs batched ranking");
         }
         let deployed = DeployedModel::freeze(&model, BitWidth::B8).unwrap();
-        assert!(deployed.top_k_batch(&queries, 0).is_err());
+        assert!(f32_rankings(&deployed, &queries, 0).is_err());
         assert!(deployed.top_k_quantized_batch(&queries, 0).is_err());
-        assert!(deployed
-            .top_k_batch(&Matrix::zeros(0, 0), 2)
+        assert!(f32_rankings(&deployed, &Matrix::zeros(0, 0), 2)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn scores_answer_every_task_from_one_pass_on_both_precisions() {
+        // Widths B1 and B8; an 8-row batch (the GEMM path) against each of
+        // its rows scored alone, and the integer answers against the
+        // packed kernels they must reproduce bit for bit.
+        let (model, data) = trained();
+        let queries = data
+            .test
+            .features()
+            .select_rows(&(0..8).collect::<Vec<_>>());
+        for width in [BitWidth::B1, BitWidth::B8] {
+            let deployed = DeployedModel::freeze(&model, width).unwrap();
+            let k = deployed.class_count();
+            let means = Some(deployed.center.means());
+            let codes = deployed
+                .encoder
+                .encode_batch_quantized(&queries, means, width);
+            let codes = codes.unwrap();
+            let (memory, inv_norms) = (&deployed.memory, &deployed.inv_norms);
+            let int_classes = disthd_hd::packed_predict_batch(&codes, memory, inv_norms).unwrap();
+            let cosines = disthd_hd::packed_cosine_matrix(&codes, memory, inv_norms).unwrap();
+            for precision in [Precision::F32Query, Precision::Integer] {
+                let batched = deployed.scores(&queries, precision).unwrap();
+                assert_eq!(batched.len(), 8, "{width}, {precision:?}");
+                for (r, &int_class) in int_classes.iter().enumerate() {
+                    let at = format!("{width}, {precision:?}, row {r}");
+                    let class = batched.class(r);
+                    assert_eq!(batched.top_k(r, 1).unwrap(), vec![class], "{at}");
+                    assert!(batched.top_k(r, 0).is_err(), "{at}: k = 0");
+                    let solo_queries = queries.select_rows(&[r]);
+                    let solo = deployed.scores(&solo_queries, precision).unwrap();
+                    let ranked = batched.top_k(r, k).unwrap();
+                    let anomaly = batched.anomaly(r).to_bits();
+                    assert_eq!(solo.class(0), class, "{at}");
+                    assert_eq!(solo.top_k(0, k).unwrap(), ranked, "{at}");
+                    assert_eq!(solo.anomaly(0).to_bits(), anomaly, "{at}");
+                    if precision == Precision::Integer {
+                        let row = cosines.row(r);
+                        assert_eq!(class, int_class, "{at}");
+                        assert_eq!(ranked, disthd_linalg::top_k_largest(row, k), "{at}");
+                        assert_eq!(anomaly, max_score(row).to_bits(), "{at}");
+                    }
+                }
+                let empty = deployed.scores(&Matrix::zeros(0, 0), precision).unwrap();
+                assert!(empty.is_empty(), "{width}, {precision:?}: empty batch");
+            }
+        }
     }
 
     /// Uniform-noise queries with the deployment's arity — off the
@@ -971,8 +1041,8 @@ mod tests {
         let inliers = data.test.features().select_rows(&all);
         let outliers = noise_queries(n, data.test.feature_dim(), 0xA70);
 
-        let in_scores = deployed.anomaly_scores(&inliers).unwrap();
-        let out_scores = deployed.anomaly_scores(&outliers).unwrap();
+        let in_scores = f32_anomaly(&deployed, &inliers).unwrap();
+        let out_scores = f32_anomaly(&deployed, &outliers).unwrap();
         // Scores are genuine cosines.
         for s in in_scores.iter().chain(&out_scores) {
             assert!((-1.001..=1.001).contains(s), "score {s}");
@@ -1002,7 +1072,7 @@ mod tests {
         );
 
         // Batch-composition invariance: a solo score equals the batched one.
-        let solo = deployed.anomaly_scores(&inliers.select_rows(&[5])).unwrap();
+        let solo = f32_anomaly(&deployed, &inliers.select_rows(&[5])).unwrap();
         assert_eq!(solo[0].to_bits(), in_scores[5].to_bits());
 
         // The integer pipeline agrees directionally (same separation).

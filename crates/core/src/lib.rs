@@ -59,7 +59,7 @@ mod top2;
 mod trainer;
 
 pub use config::{DistHdConfig, WeightParams};
-pub use deploy::{DeployedModel, ServingTasks};
+pub use deploy::{DeployedModel, Precision, Scores, ServingTasks};
 pub use distance::{select_undesired_dims, DimensionScores};
 pub use disthd_hd::encoder::EncoderBackend;
 pub use merge::MergeStats;

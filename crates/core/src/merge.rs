@@ -133,24 +133,12 @@ impl DistHd {
     /// # Errors
     ///
     /// [`ModelError::Incompatible`] when the batch shape disagrees with
-    /// the model, or when this model has already been trained through the
-    /// non-mergeable [`fit`](disthd_eval::Classifier::fit) /
-    /// [`DistHd::partial_fit`] paths.
+    /// the model, a feature is NaN or infinite, or when this model has
+    /// already been trained through the non-mergeable
+    /// [`fit`](disthd_eval::Classifier::fit) / [`DistHd::partial_fit`]
+    /// paths.
     pub fn fit_shard(&mut self, batch: &Dataset) -> Result<MergeStats, ModelError> {
-        if batch.feature_dim() != self.encoder.input_dim() {
-            return Err(ModelError::Incompatible(format!(
-                "expected {} features, shard batch has {}",
-                self.encoder.input_dim(),
-                batch.feature_dim()
-            )));
-        }
-        if batch.class_count() != self.class_count {
-            return Err(ModelError::Incompatible(format!(
-                "expected {} classes, shard batch has {}",
-                self.class_count,
-                batch.class_count()
-            )));
-        }
+        self.validate_batch(batch, "shard batch")?;
         if self.stream.is_some() {
             return Err(ModelError::Incompatible(
                 "model has partial_fit stream state; shard training would break \

@@ -264,27 +264,15 @@ impl DistHd {
     /// # Errors
     ///
     /// Returns [`ModelError::Incompatible`] if the batch's feature arity or
-    /// class count disagrees with the model, or a shape error from the
-    /// encoding kernels.
+    /// class count disagrees with the model or a feature is NaN or
+    /// infinite (the model is then left untouched), or a shape error from
+    /// the encoding kernels.
     pub fn partial_fit_with(
         &mut self,
         batch: &Dataset,
         cfg: &StreamConfig,
     ) -> Result<StreamStats, ModelError> {
-        if batch.feature_dim() != self.encoder.input_dim() {
-            return Err(ModelError::Incompatible(format!(
-                "expected {} features, mini-batch has {}",
-                self.encoder.input_dim(),
-                batch.feature_dim()
-            )));
-        }
-        if batch.class_count() != self.class_count {
-            return Err(ModelError::Incompatible(format!(
-                "expected {} classes, mini-batch has {}",
-                self.class_count,
-                batch.class_count()
-            )));
-        }
+        self.validate_batch(batch, "mini-batch")?;
         if self.class_count < 2 {
             return Err(ModelError::Incompatible(
                 "DistHD top-2 classification needs at least two classes".into(),

@@ -155,6 +155,31 @@ impl DistHd {
         Ok(encoded)
     }
 
+    /// The admission check every training entry point runs before it
+    /// touches any state, so a rejected `data` leaves the model as it was:
+    /// the model's feature arity and class count, and only finite
+    /// features.  `what` names `data` in the error.
+    pub(crate) fn validate_batch(&self, data: &Dataset, what: &str) -> Result<(), ModelError> {
+        let expected = (self.encoder.input_dim(), self.class_count);
+        let (features, classes) = (data.feature_dim(), data.class_count());
+        if (features, classes) != expected {
+            return Err(ModelError::Incompatible(format!(
+                "expected {} features and {} classes, {what} has {features} and {classes}",
+                expected.0, expected.1
+            )));
+        }
+        let features = data.features().as_slice();
+        match features.iter().position(|v| !v.is_finite()) {
+            Some(i) => Err(ModelError::Incompatible(format!(
+                "{what} row {} feature {} is {}; features must be finite",
+                i / data.feature_dim(),
+                i % data.feature_dim(),
+                features[i]
+            ))),
+            None => Ok(()),
+        }
+    }
+
     fn eval_accuracy(
         &self,
         model: &mut ClassModel,
@@ -182,19 +207,9 @@ impl Classifier for DistHd {
         train: &Dataset,
         eval: Option<&Dataset>,
     ) -> Result<TrainingHistory, ModelError> {
-        if train.feature_dim() != self.encoder.input_dim() {
-            return Err(ModelError::Incompatible(format!(
-                "expected {} features, dataset has {}",
-                self.encoder.input_dim(),
-                train.feature_dim()
-            )));
-        }
-        if train.class_count() != self.class_count {
-            return Err(ModelError::Incompatible(format!(
-                "expected {} classes, dataset has {}",
-                self.class_count,
-                train.class_count()
-            )));
+        self.validate_batch(train, "dataset")?;
+        if let Some(eval) = eval {
+            self.validate_batch(eval, "eval set")?;
         }
         if self.class_count < 2 {
             return Err(ModelError::Incompatible(
@@ -428,6 +443,52 @@ mod tests {
         assert!(model.fit(&data.train, None).is_err());
         let mut one_class = DistHd::new(config(), 49, 1);
         assert!(one_class.fit(&data.train, None).is_err());
+    }
+
+    #[test]
+    fn non_finite_training_features_are_rejected_and_leave_the_model_unchanged() {
+        let data = small_data();
+        let (features, classes) = (data.train.feature_dim(), data.train.class_count());
+        let assert_names = |err: ModelError, what: &str, bad: f32| {
+            let ModelError::Incompatible(message) = err else {
+                panic!("{what}, {bad}: expected Incompatible, got {err:?}");
+            };
+            let named = format!("{what} row 2 feature 1 is {bad}");
+            assert!(
+                message.contains(&named),
+                "{message:?} should name {named:?}"
+            );
+        };
+        let memory_bits = |model: &DistHd| -> Vec<u32> {
+            let classes = model.class_model().expect("trained").classes();
+            classes.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut poisoned = data.train.clone();
+            poisoned.features_mut().row_mut(2)[1] = bad;
+
+            // fit, on the training set and on the eval set: still unfitted.
+            let mut model = DistHd::new(config(), features, classes);
+            assert_names(model.fit(&poisoned, None).unwrap_err(), "dataset", bad);
+            let err = model.fit(&data.train, Some(&poisoned)).unwrap_err();
+            assert_names(err, "eval set", bad);
+            assert!(model.class_model().is_none(), "{bad}: fit left a model");
+
+            // partial_fit and fit_shard: class memory bit-unchanged.
+            let mut streamed = DistHd::new(config(), features, classes);
+            streamed.partial_fit(&data.train).unwrap();
+            let before = memory_bits(&streamed);
+            let err = streamed.partial_fit(&poisoned).unwrap_err();
+            assert_names(err, "mini-batch", bad);
+            assert_eq!(memory_bits(&streamed), before, "{bad}: partial_fit");
+
+            let mut sharded = DistHd::new(config(), features, classes);
+            sharded.fit_shard(&data.train).unwrap();
+            let before = memory_bits(&sharded);
+            let err = sharded.fit_shard(&poisoned).unwrap_err();
+            assert_names(err, "shard batch", bad);
+            assert_eq!(memory_bits(&sharded), before, "{bad}: fit_shard");
+        }
     }
 
     #[test]

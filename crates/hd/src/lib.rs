@@ -46,8 +46,8 @@ mod similarity;
 
 pub use model::{ClassModel, Prediction, TopK};
 pub use similarity::{
-    cosine_similarity_matrix, exact_cosine_to_all, packed_cosine_matrix, packed_predict_batch,
-    packed_similarity_to_all, quantized_similarity_matrix, quantized_similarity_prepacked,
+    cosine_similarity_matrix, exact_cosine_to_all, packed_cosine_matrix, packed_dot_matrix,
+    packed_predict_batch, packed_similarity_to_all, quantized_similarity_matrix,
     quantized_similarity_to_all, similarity_to_all,
 };
 

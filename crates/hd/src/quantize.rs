@@ -451,15 +451,18 @@ impl QuantizedMatrix {
     /// nothing.
     pub fn code_inv_norms_into(&self, out: &mut Vec<f32>) {
         out.clear();
-        out.reserve(self.rows);
-        for r in 0..self.rows {
-            let mut sum_squares: u64 = 0;
-            self.for_each_row_value(r, |_, v| sum_squares += (v as i64 * v as i64) as u64);
-            out.push(if sum_squares == 0 {
-                0.0
-            } else {
-                1.0 / (sum_squares as f32).sqrt()
-            });
+        out.extend((0..self.rows).map(|r| self.code_inv_norm(r)));
+    }
+
+    /// Entry `r` of [`QuantizedMatrix::code_inv_norms_into`] alone, for
+    /// callers that need only some rows' norms (panics if out of bounds).
+    pub fn code_inv_norm(&self, r: usize) -> f32 {
+        let mut sum_squares: u64 = 0;
+        self.for_each_row_value(r, |_, v| sum_squares += (v as i64 * v as i64) as u64);
+        if sum_squares == 0 {
+            0.0
+        } else {
+            1.0 / (sum_squares as f32).sqrt()
         }
     }
 

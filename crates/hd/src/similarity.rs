@@ -92,10 +92,7 @@ pub fn quantized_similarity_to_all(
 /// words the only state).  Batches too small to amortize the decode
 /// (fewer than `QSIM_GEMM_MIN_ROWS` rows — e.g. one-at-a-time serving)
 /// skip the panel entirely and score row by row through the single-query
-/// kernel, which is bit-identical by the shared accumulation chain.  A
-/// caller that genuinely reuses one panel across many products can decode
-/// it once ([`QuantizedMatrix::pack_codes_into`]) and call
-/// [`quantized_similarity_prepacked`] per batch.
+/// kernel, which is bit-identical by the shared accumulation chain.
 ///
 /// # Errors
 ///
@@ -124,7 +121,7 @@ pub fn quantized_similarity_matrix(
     }
     let mut panel = PackedRhs::new(dim, class_count);
     classes.pack_codes_into(&mut panel);
-    quantized_similarity_prepacked(encoded, &panel, inv_norms)
+    encoded.matmul_prepacked_map(&panel, |l, v| v * inv_norms[l])
 }
 
 /// Below this many query rows the batched kernel scores row by row instead
@@ -133,30 +130,6 @@ pub fn quantized_similarity_matrix(
 /// passes.  Both paths accumulate in the identical per-element chain, so
 /// the crossover affects speed only — never a result bit.
 const QSIM_GEMM_MIN_ROWS: usize = 4;
-
-/// [`quantized_similarity_matrix`] against an already-decoded code panel,
-/// for callers that score many batches against one class memory and keep
-/// the panel hot themselves (the bundled deployment deliberately does
-/// *not* — see [`quantized_similarity_matrix`]).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `encoded.cols() != codes_panel.inner()` or
-/// `inv_norms.len() != codes_panel.cols()`.
-pub fn quantized_similarity_prepacked(
-    encoded: &Matrix,
-    codes_panel: &PackedRhs,
-    inv_norms: &[f32],
-) -> Result<Matrix, ShapeError> {
-    if encoded.cols() != codes_panel.inner() || inv_norms.len() != codes_panel.cols() {
-        return Err(ShapeError::new(
-            "quantized_similarity",
-            encoded.shape(),
-            (codes_panel.cols(), codes_panel.inner()),
-        ));
-    }
-    encoded.matmul_prepacked_map(codes_panel, |l, v| v * inv_norms[l])
-}
 
 /// Fully-integer similarity of a quantized query (a `1 × D`
 /// [`QuantizedMatrix`]) against every row of a quantized class memory:
@@ -204,11 +177,43 @@ pub fn packed_similarity_to_all(
         .collect())
 }
 
+/// Batched fully-integer dot products: the `samples × classes` matrix of
+/// every row of a quantized query batch against a quantized class memory,
+/// straight off the packed words — XOR+popcount at 1 bit, widening
+/// i2/i4/i8 dot products otherwise — each exact integer dot stored as
+/// `dot as f32`.  **No f32 similarity work**: this is the one integer-dot
+/// loop; [`packed_predict_batch`] and [`packed_cosine_matrix`] only scale
+/// its entries.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if the widths or column counts differ.
+pub fn packed_dot_matrix(
+    queries: &QuantizedMatrix,
+    classes: &QuantizedMatrix,
+) -> Result<Matrix, ShapeError> {
+    let (query_rows, query_cols) = queries.shape();
+    let (class_rows, class_cols) = classes.shape();
+    if query_cols != class_cols || queries.width() != classes.width() {
+        return Err(ShapeError::new(
+            "packed_dot",
+            queries.shape(),
+            classes.shape(),
+        ));
+    }
+    let mut dots = Matrix::zeros(query_rows, class_rows);
+    for r in 0..query_rows {
+        for (l, dot) in dots.row_mut(r).iter_mut().enumerate() {
+            *dot = queries.row_dot_widening(r, classes, l) as f32;
+        }
+    }
+    Ok(dots)
+}
+
 /// Fully-integer batch prediction: the argmax class of every row of a
-/// quantized query batch against a quantized class memory, straight off the
-/// packed words — XOR+popcount at 1 bit, widening i2/i4/i8 dot products
-/// otherwise.  **No f32 similarity work**: the only float arithmetic is the
-/// final per-class `dot × inv_norm` scaling of an integer dot.
+/// quantized query batch, ranking each [`packed_dot_matrix`] entry scaled
+/// by its class's `inv_norm` — the only float arithmetic is that one
+/// multiply per integer dot.
 ///
 /// The per-query reciprocal code norm of [`packed_similarity_to_all`] is
 /// skipped: it is one positive constant per query, so it scales every
@@ -225,37 +230,28 @@ pub fn packed_predict_batch(
     classes: &QuantizedMatrix,
     class_inv_norms: &[f32],
 ) -> Result<Vec<usize>, ShapeError> {
-    let (query_rows, query_cols) = queries.shape();
-    let (class_rows, class_cols) = classes.shape();
-    if query_cols != class_cols
-        || queries.width() != classes.width()
-        || class_inv_norms.len() != class_rows
-    {
-        return Err(ShapeError::new(
-            "packed_predict",
-            queries.shape(),
-            classes.shape(),
-        ));
-    }
-    let mut out = Vec::with_capacity(query_rows);
-    for r in 0..query_rows {
-        let mut best = 0usize;
-        let mut best_score = f32::NEG_INFINITY;
-        for (l, &inv_norm) in class_inv_norms.iter().enumerate() {
-            let score = queries.row_dot_widening(r, classes, l) as f32 * inv_norm;
-            if score > best_score {
-                best = l;
-                best_score = score;
+    let dots = checked_dots("packed_predict", queries, classes, class_inv_norms)?;
+    Ok(dots
+        .iter_rows()
+        .map(|row| {
+            let scores = row
+                .iter()
+                .zip(class_inv_norms)
+                .map(|(&dot, &inv)| dot * inv);
+            let mut best = (0, f32::NEG_INFINITY);
+            for (l, score) in scores.enumerate() {
+                if score > best.1 {
+                    best = (l, score);
+                }
             }
-        }
-        out.push(best);
-    }
-    Ok(out)
+            best.0
+        })
+        .collect())
 }
 
-/// Batched fully-integer **true-cosine** scores: the `samples × classes`
-/// matrix of every row of a quantized query batch against a quantized
-/// class memory, with the per-query reciprocal code norm applied.
+/// Batched fully-integer **true-cosine** scores: every
+/// [`packed_dot_matrix`] entry times the query's reciprocal code norm
+/// times the class's, in that order.
 ///
 /// [`packed_predict_batch`] deliberately skips the per-query norm — it is
 /// a positive constant per query, so it cannot move an argmax — but a
@@ -266,10 +262,8 @@ pub fn packed_predict_batch(
 /// bit-identical to [`packed_similarity_to_all`] on query `s` alone (same
 /// integer dots, same two scalar multiplies in the same order), so a
 /// batched anomaly/top-k pass scores exactly like one-at-a-time serving.
-///
-/// All query inverse norms are computed in one integer pass up front
-/// ([`QuantizedMatrix::code_inv_norms_into`]); an all-zero query row
-/// scores `0.0` against every class, matching the zero-row convention.
+/// An all-zero query row scores `0.0` against every class, matching the
+/// zero-row convention.
 ///
 /// # Errors
 ///
@@ -280,28 +274,28 @@ pub fn packed_cosine_matrix(
     classes: &QuantizedMatrix,
     class_inv_norms: &[f32],
 ) -> Result<Matrix, ShapeError> {
-    let (query_rows, query_cols) = queries.shape();
-    let (class_rows, class_cols) = classes.shape();
-    if query_cols != class_cols
-        || queries.width() != classes.width()
-        || class_inv_norms.len() != class_rows
-    {
-        return Err(ShapeError::new(
-            "packed_cosine",
-            queries.shape(),
-            classes.shape(),
-        ));
-    }
-    let mut query_inv = Vec::new();
-    queries.code_inv_norms_into(&mut query_inv);
-    let mut scores = Matrix::zeros(query_rows, class_rows);
-    for (r, &q_inv) in query_inv.iter().enumerate() {
-        let row = scores.row_mut(r);
-        for (l, &inv_norm) in class_inv_norms.iter().enumerate() {
-            row[l] = queries.row_dot_widening(r, classes, l) as f32 * q_inv * inv_norm;
+    let mut scores = checked_dots("packed_cosine", queries, classes, class_inv_norms)?;
+    for r in 0..scores.rows() {
+        let q_inv = queries.code_inv_norm(r);
+        for (score, &inv_norm) in scores.row_mut(r).iter_mut().zip(class_inv_norms) {
+            *score = *score * q_inv * inv_norm;
         }
     }
     Ok(scores)
+}
+
+/// [`packed_dot_matrix`] for the scorers that scale it by one reciprocal
+/// norm per class row, checking that there is one.
+fn checked_dots(
+    op: &'static str,
+    queries: &QuantizedMatrix,
+    classes: &QuantizedMatrix,
+    class_inv_norms: &[f32],
+) -> Result<Matrix, ShapeError> {
+    if class_inv_norms.len() != classes.shape().0 {
+        return Err(ShapeError::new(op, queries.shape(), classes.shape()));
+    }
+    packed_dot_matrix(queries, classes)
 }
 
 /// Full cosine similarity of `query` against each (unnormalized) row.

@@ -1,7 +1,7 @@
 //! The request-batching engine: coalesce single queries into batched GEMMs.
 
 use disthd::io::PersistError;
-use disthd::DeployedModel;
+use disthd::{DeployedModel, Precision};
 use disthd_eval::ModelError;
 use disthd_hd::encoder::Encoder;
 use disthd_hd::quantize::QuantizedMatrix;
@@ -76,14 +76,13 @@ pub(crate) fn validate_query(features: &[f32], feature_dim: usize) -> Result<(),
 
 /// Scores one coalesced batch of mixed-task queries against `model`.
 ///
-/// The rows are split by task kind and each sub-batch runs the matching
-/// batched [`DeployedModel`] API (classify keeps its exact historical
-/// path, so existing classify answers cannot move by a bit); because
-/// every API computes its rows independently, the split preserves
-/// batch-composition invariance.  Task configuration (`k`, threshold) is
-/// resolved from `model` **here** — at flush time, from the same snapshot
-/// that scores the batch — so a hot-swap can never pair one generation's
-/// scores with another generation's threshold.
+/// The whole batch runs through one [`DeployedModel::scores`] pass, and
+/// each row's answer is read off its own score row by its kind; rows are
+/// scored independently, so the task mix never changes an answer.  Task
+/// configuration (`k`, threshold) is resolved from `model` **here** — at
+/// flush time, from the same snapshot that scores the batch — so a
+/// hot-swap can never pair one generation's scores with another
+/// generation's threshold.
 pub(crate) fn score_task_batch(
     model: &DeployedModel,
     integer_pipeline: bool,
@@ -93,70 +92,32 @@ pub(crate) fn score_task_batch(
 ) -> Result<Vec<TaskResponse>, ModelError> {
     debug_assert_eq!(rows.len(), kinds.len());
     let batch = Matrix::from_row_slices(feature_dim, rows)?;
-    let mut out: Vec<Option<TaskResponse>> = vec![None; rows.len()];
-    for kind in [TaskKind::Classify, TaskKind::TopK, TaskKind::Anomaly] {
-        let idx: Vec<usize> = kinds
-            .iter()
-            .enumerate()
-            .filter(|&(_, k)| *k == kind)
-            .map(|(i, _)| i)
-            .collect();
-        if idx.is_empty() {
-            continue;
-        }
-        let selected;
-        let sub = if idx.len() == batch.rows() {
-            &batch
-        } else {
-            selected = batch.select_rows(&idx);
-            &selected
-        };
-        match kind {
-            TaskKind::Classify => {
-                let classes = if integer_pipeline {
-                    model.predict_quantized_batch(sub)?
-                } else {
-                    model.predict_batch(sub)?
-                };
-                for (&i, class) in idx.iter().zip(classes) {
-                    out[i] = Some(TaskResponse::Class(class));
-                }
-            }
-            TaskKind::TopK => {
-                let k = model
-                    .tasks()
-                    .top_k
-                    .unwrap_or(1)
-                    .clamp(1, model.class_count());
-                let ranked = if integer_pipeline {
-                    model.top_k_quantized_batch(sub, k)?
-                } else {
-                    model.top_k_batch(sub, k)?
-                };
-                for (&i, ranks) in idx.iter().zip(ranked) {
-                    out[i] = Some(TaskResponse::Ranked(ranks));
-                }
-            }
-            TaskKind::Anomaly => {
-                let threshold = model.tasks().anomaly_threshold;
-                let scores = if integer_pipeline {
-                    model.anomaly_scores_quantized(sub)?
-                } else {
-                    model.anomaly_scores(sub)?
-                };
-                for (&i, score) in idx.iter().zip(scores) {
-                    out[i] = Some(TaskResponse::Anomaly(AnomalyVerdict {
+    let precision = if integer_pipeline {
+        Precision::Integer
+    } else {
+        Precision::F32Query
+    };
+    let scores = model.scores(&batch, precision)?;
+    let tasks = model.tasks();
+    let k = tasks.top_k.unwrap_or(1).clamp(1, model.class_count());
+    kinds
+        .iter()
+        .enumerate()
+        .map(|(r, kind)| {
+            Ok(match kind {
+                TaskKind::Classify => TaskResponse::Class(scores.class(r)),
+                TaskKind::TopK => TaskResponse::Ranked(scores.top_k(r, k)?),
+                TaskKind::Anomaly => {
+                    let score = scores.anomaly(r);
+                    TaskResponse::Anomaly(AnomalyVerdict {
                         score,
-                        anomalous: !score.is_finite() || threshold.is_some_and(|t| score < t),
-                    }));
+                        anomalous: !score.is_finite()
+                            || tasks.anomaly_threshold.is_some_and(|t| score < t),
+                    })
                 }
-            }
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|r| r.expect("every batch row is scored by its kind's pass"))
-        .collect())
+            })
+        })
+        .collect()
 }
 
 /// The latency-vs-throughput knob of the serving layer.
@@ -231,10 +192,10 @@ pub struct EngineStats {
 /// Queries are [`ServeEngine::submit`]ted individually and accumulate in a
 /// queue; when the queue reaches the [`BatchPolicy::max_batch`] window (or
 /// on an explicit [`ServeEngine::flush`]) the engine gathers them into one
-/// contiguous batch and answers them all through
-/// [`DeployedModel::predict_batch`].  Because the compute backend
-/// evaluates every batch row independently and deterministically, a
-/// query's prediction is **bit-identical whatever batch it happens to
+/// contiguous batch, scores it once with [`DeployedModel::scores`] and
+/// reads each query's answer off its own score row.  Because the compute
+/// backend evaluates every batch row independently and deterministically,
+/// a query's prediction is **bit-identical whatever batch it happens to
 /// share** — batching changes throughput, never answers.
 ///
 /// # Example
@@ -290,14 +251,13 @@ impl ServeEngine {
 
     /// Selects the scoring pipeline for every subsequent flush.
     ///
-    /// With the integer pipeline enabled, each batch is answered through
-    /// [`DeployedModel::predict_quantized_batch`]: the fused quantize
-    /// epilogue packs encoded queries straight to the class memory's
-    /// storage width and classes are ranked by XOR+popcount (1-bit) or
-    /// widening integer dot products — after featurization the hot loop
-    /// never touches an `f32` hypervector.  Disabled (the default), the
-    /// engine scores f32-encoded queries against the packed memory via
-    /// [`DeployedModel::predict_batch`].
+    /// With the integer pipeline enabled, each batch is scored at
+    /// [`Precision::Integer`]: the fused quantize epilogue packs encoded
+    /// queries straight to the class memory's storage width and classes
+    /// are scored by XOR+popcount (1-bit) or widening integer dot products
+    /// — after featurization the hot loop never touches an `f32`
+    /// hypervector.  Disabled (the default), the engine scores f32-encoded
+    /// queries against the packed memory at [`Precision::F32Query`].
     pub fn with_integer_pipeline(mut self, enabled: bool) -> Self {
         self.integer_pipeline = enabled;
         self
@@ -374,10 +334,9 @@ impl ServeEngine {
 
     /// Queues one query under an explicit [`TaskKind`]; otherwise behaves
     /// exactly like [`ServeEngine::submit`].  Mixed-kind queues coalesce
-    /// into the same flush — the batch is partitioned by kind and each
-    /// partition runs its own batched pass, so a ranking request never
-    /// changes a classification answer sharing its window (and vice
-    /// versa).
+    /// into the same flush and share its one scoring pass; each row is
+    /// scored independently, so a ranking request never changes a
+    /// classification answer sharing its window (and vice versa).
     ///
     /// # Errors
     ///

@@ -17,8 +17,9 @@
 //! * [`TaskKind`] / [`TaskResponse`] — serving **task types** on the same
 //!   batched path: plain classification, top-k multi-label ranking, and
 //!   one-class anomaly scoring against a calibrated similarity threshold
-//!   (see `disthd::ServingTasks`).  Mixed batches are partitioned by kind
-//!   at flush time, so no answer ever depends on batch composition.
+//!   (see `disthd::ServingTasks`).  A mixed batch is scored once and each
+//!   query's kind only post-processes its own row, so no answer ever
+//!   depends on batch composition.
 //! * [`Server`] / [`ServerClient`] — the live, **sharded** server: N
 //!   worker threads (one per shard), each pulling batches from its own
 //!   queue with work stealing, so qps scales with cores.  Admission
@@ -194,37 +195,52 @@ mod tests {
     #[test]
     fn mixed_batches_match_the_direct_model_apis() {
         // One coalesced flush of interleaved kinds must answer each query
-        // exactly like the matching DeployedModel batch API — the classify
-        // sub-batch in particular keeps its historical path.
+        // exactly like the matching DeployedModel batch API, on both
+        // scoring pipelines.
         let deployment = tasked_deployment(3, 0.4);
         let queries = queries_matrix(30);
-        let expected_classes = deployment.predict_batch(&queries).unwrap();
-        let expected_ranks = deployment.top_k_batch(&queries, 3).unwrap();
-        let expected_scores = deployment.anomaly_scores(&queries).unwrap();
-        let mut engine = ServeEngine::new(deployment, BatchPolicy::window(256));
-        let mut tickets = Vec::new();
-        for r in 0..queries.rows() {
-            let kind = KIND_CYCLE[r % 3];
-            tickets.push((r, kind, engine.submit_task(queries.row(r), kind).unwrap()));
-        }
-        engine.flush().unwrap();
-        for (r, kind, ticket) in tickets {
-            match (kind, engine.try_take_response(ticket).unwrap()) {
-                (TaskKind::Classify, TaskResponse::Class(class)) => {
-                    assert_eq!(class, expected_classes[r], "row {r}");
+        for integer in [false, true] {
+            let (expected_classes, expected_ranks, expected_scores) = if integer {
+                (
+                    deployment.predict_quantized_batch(&queries).unwrap(),
+                    deployment.top_k_quantized_batch(&queries, 3).unwrap(),
+                    deployment.anomaly_scores_quantized(&queries).unwrap(),
+                )
+            } else {
+                let scores = deployment
+                    .scores(&queries, disthd::Precision::F32Query)
+                    .unwrap();
+                let rows = 0..scores.len();
+                (
+                    deployment.predict_batch(&queries).unwrap(),
+                    rows.clone().map(|r| scores.top_k(r, 3).unwrap()).collect(),
+                    rows.map(|r| scores.anomaly(r)).collect::<Vec<_>>(),
+                )
+            };
+            let mut engine = ServeEngine::new(deployment.clone(), BatchPolicy::window(256))
+                .with_integer_pipeline(integer);
+            let mut tickets = Vec::new();
+            for r in 0..queries.rows() {
+                let kind = KIND_CYCLE[r % 3];
+                tickets.push((r, kind, engine.submit_task(queries.row(r), kind).unwrap()));
+            }
+            engine.flush().unwrap();
+            for (r, kind, ticket) in tickets {
+                let at = format!("integer {integer}, row {r}");
+                match (kind, engine.try_take_response(ticket).unwrap()) {
+                    (TaskKind::Classify, TaskResponse::Class(class)) => {
+                        assert_eq!(class, expected_classes[r], "{at}");
+                    }
+                    (TaskKind::TopK, TaskResponse::Ranked(ranks)) => {
+                        assert_eq!(ranks, expected_ranks[r], "{at}");
+                    }
+                    (TaskKind::Anomaly, TaskResponse::Anomaly(verdict)) => {
+                        let expected = expected_scores[r].to_bits();
+                        assert_eq!(verdict.score.to_bits(), expected, "{at}");
+                        assert_eq!(verdict.anomalous, verdict.score < 0.4, "{at}");
+                    }
+                    (kind, response) => panic!("{kind:?} answered with {response:?}"),
                 }
-                (TaskKind::TopK, TaskResponse::Ranked(ranks)) => {
-                    assert_eq!(ranks, expected_ranks[r], "row {r}");
-                }
-                (TaskKind::Anomaly, TaskResponse::Anomaly(verdict)) => {
-                    assert_eq!(
-                        verdict.score.to_bits(),
-                        expected_scores[r].to_bits(),
-                        "row {r}"
-                    );
-                    assert_eq!(verdict.anomalous, verdict.score < 0.4, "row {r}");
-                }
-                (kind, response) => panic!("{kind:?} answered with {response:?}"),
             }
         }
     }
@@ -293,7 +309,10 @@ mod tests {
                 let err = engine.score_anomaly_one(&q).unwrap_err();
                 assert_names_feature(&err, 0, f32::NAN);
             }
-            let f32_score = deployment.anomaly_scores(&solo).unwrap()[0];
+            let f32_score = deployment
+                .scores(&solo, disthd::Precision::F32Query)
+                .unwrap()
+                .anomaly(0);
             let int_score = deployment.anomaly_scores_quantized(&solo).unwrap()[0];
             assert!(!f32_score.is_finite(), "f32 pipeline scored {f32_score}");
             assert!(
@@ -375,7 +394,10 @@ mod tests {
         let q = testkit::tiny_queries(1).remove(0);
         assert_eq!(engine.rank_one(&q).unwrap().len(), 2);
         let solo = Matrix::from_row_slices(q.len(), &[&q]).unwrap();
-        let direct = deployment.anomaly_scores(&solo).unwrap()[0];
+        let direct = deployment
+            .scores(&solo, disthd::Precision::F32Query)
+            .unwrap()
+            .anomaly(0);
         let verdict = engine.score_anomaly_one(&q).unwrap();
         assert_eq!(verdict.score.to_bits(), direct.to_bits());
         assert_eq!(verdict.anomalous, direct < 0.9);

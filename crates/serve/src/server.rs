@@ -123,7 +123,7 @@ pub struct ServerOptions {
     /// [`ServerStats::shed`]) instead of queueing unboundedly.
     pub queue_capacity: usize,
     /// Score batches through the end-to-end integer pipeline
-    /// ([`DeployedModel::predict_quantized_batch`]): the fused quantize
+    /// ([`disthd::Precision::Integer`]): the fused quantize
     /// epilogue packs encoded queries at the class memory's storage width
     /// and similarity runs on XOR+popcount (1-bit) or widening integer
     /// dots — no `f32` hypervector after featurization.  The default
@@ -495,9 +495,10 @@ impl ServerClient {
 
     /// Enqueues one query under an explicit [`TaskKind`] without blocking
     /// on its answer.  Mixed-kind traffic coalesces into the same shard
-    /// batches; the worker partitions each batch by kind, so sharing a
-    /// window with rankings or anomaly probes can never move a
-    /// classification answer (and vice versa).
+    /// batches; the worker scores each batch once and reads every query's
+    /// answer off its own score row, so sharing a window with rankings or
+    /// anomaly probes can never move a classification answer (and vice
+    /// versa).
     ///
     /// # Errors
     ///
